@@ -34,7 +34,7 @@ fn bench_delta_solve(c: &mut Criterion) {
                 BenchmarkId::new(format!("scratch-r{big_r}"), size),
                 &size,
                 |b, _| {
-                    b.iter(|| std::hint::black_box(solve_special(&sf, big_r, 1).x.as_slice()[0]));
+                    b.iter(|| std::hint::black_box(solve_special(&sf, big_r).x.as_slice()[0]));
                 },
             );
 

@@ -28,7 +28,7 @@ fn bench_distributed(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("flat-n{n_obj}"), big_r),
                 &big_r,
-                |b, &big_r| b.iter(|| std::hint::black_box(solve_distributed_flat(&sf, big_r, 1))),
+                |b, &big_r| b.iter(|| std::hint::black_box(solve_distributed_flat(&sf, big_r))),
             );
         }
     }

@@ -41,10 +41,10 @@ fn bench_overhead(c: &mut Criterion) {
     group.sample_size(40);
     for big_r in [3usize, 4] {
         group.bench_with_input(BenchmarkId::new("plain", big_r), &big_r, |b, &r| {
-            b.iter(|| std::hint::black_box(solve_special_flat(&sf, r, 1)))
+            b.iter(|| std::hint::black_box(solve_special_flat(&sf, r)))
         });
         group.bench_with_input(BenchmarkId::new("traced", big_r), &big_r, |b, &r| {
-            b.iter(|| std::hint::black_box(solve_special_flat_traced(&sf, r, 1)))
+            b.iter(|| std::hint::black_box(solve_special_flat_traced(&sf, r)))
         });
     }
 
@@ -55,7 +55,7 @@ fn bench_overhead(c: &mut Criterion) {
     for big_r in [3usize, 4] {
         group.bench_with_input(BenchmarkId::new("journaled", big_r), &big_r, |b, &r| {
             b.iter(|| {
-                let out = solve_special_flat_traced(&sf, r, 1);
+                let out = solve_special_flat_traced(&sf, r);
                 trace_id += 1;
                 let rec = SpanRecorder::new(trace_id, "bench SOLVE");
                 let exec = rec.open(ROOT_SPAN, "execute");

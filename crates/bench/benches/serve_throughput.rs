@@ -51,7 +51,7 @@ impl Fleet {
                 while let Ok(n) = rx.recv() {
                     for _ in 0..n {
                         let body = client
-                            .run_hash(Op::Solve, &hash, 3, 1)
+                            .run_hash(Op::Solve, &hash, 3)
                             .expect("io")
                             .into_ok()
                             .expect("warm solve");
@@ -103,7 +103,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
     let mut primer = Client::connect(&addr).expect("connect");
     let hash = primer.put(&inst_text).expect("io").expect("put");
     primer
-        .run_hash(Op::Solve, &hash, 3, 1)
+        .run_hash(Op::Solve, &hash, 3)
         .expect("io")
         .into_ok()
         .expect("prime solve");

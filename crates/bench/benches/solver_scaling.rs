@@ -55,7 +55,7 @@ mod dynamic_bench {
                 });
             });
             group.bench_with_input(BenchmarkId::new("full-solve", n_obj), &sf, |b, sf| {
-                b.iter(|| std::hint::black_box(mmlp_core::smoothing::solve_special(sf, 3, 1)))
+                b.iter(|| std::hint::black_box(mmlp_core::smoothing::solve_special(sf, 3)))
             });
         }
         group.finish();

@@ -85,10 +85,7 @@ fn bench_solve(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(solve_distributed(&sf, r)))
         });
         group.bench_with_input(BenchmarkId::new("flat", big_r), &big_r, |b, &r| {
-            b.iter(|| std::hint::black_box(solve_distributed_flat(&sf, r, 1)))
-        });
-        group.bench_with_input(BenchmarkId::new("flat-threaded", big_r), &big_r, |b, &r| {
-            b.iter(|| std::hint::black_box(solve_distributed_flat(&sf, r, 4)))
+            b.iter(|| std::hint::black_box(solve_distributed_flat(&sf, r)))
         });
     }
     group.finish();

@@ -404,7 +404,7 @@ fn t8_distributed() {
     ]);
     for big_r in [2, 3, 4] {
         let dist = solve_distributed(&sf, big_r);
-        let central = solve_special(&sf, big_r, 1);
+        let central = solve_special(&sf, big_r);
         let max_dev = dist
             .solution
             .as_slice()

@@ -8,9 +8,9 @@
 //!
 //! `BENCH_core.json`:
 //!
-//! 1. `distributed-solve/flat-threaded/4` < `distributed-solve/flat/4`
-//!    — threading the `t` batch must not cost (the PR-5 regression, now
-//!    gated);
+//! (Rule 1 gated the threaded `t` batch; it went with intra-solve
+//! threading, and the other rules keep their numbers.)
+//!
 //! 2. `view-eval-t/memoized/R` ≤ `view-eval-t/recursive/R` at every
 //!    benchmarked `R` — the memo table must pay for itself;
 //! 3. `distributed-solve/flat/R` < `distributed-solve/legacy/R` at
@@ -157,12 +157,6 @@ impl Gate<'_> {
 }
 
 fn gate_core(g: &mut Gate) {
-    g.check(
-        "distributed-solve/flat-threaded/4",
-        "distributed-solve/flat/4",
-        true,
-        true,
-    );
     for big_r in 2..=8 {
         g.check(
             &format!("view-eval-t/memoized/{big_r}"),

@@ -21,7 +21,7 @@
 //! `delta_solve` bench gates on.
 //!
 //! The recomputed state is **bit-identical** to a from-scratch solve
-//! (asserted across the generator catalogue and thread counts in tests).
+//! (asserted across the generator catalogue in tests).
 //!
 //! Views of dirty agents are re-interned into a persistent hash-consed
 //! [`ViewArena`]: subtrees untouched by the edit re-intern to their
@@ -49,7 +49,6 @@ pub struct DynamicSolver {
     sf: SpecialForm,
     graph: CommGraph,
     big_r: usize,
-    threads: usize,
     run: SpecialRun,
     /// Persistent hash-consed store of every view interned so far, across
     /// all revisions — unchanged subtrees re-intern to existing ids.
@@ -120,13 +119,15 @@ impl From<DeltaError> for DynamicError {
 }
 
 impl DynamicSolver {
-    /// Solves from scratch with `threads` workers on the flat path and
-    /// retains the state (plus the interned views of every agent, so the
-    /// first update already reuses the arena).
-    pub fn new(sf: SpecialForm, big_r: usize, threads: usize) -> Self {
+    /// Solves from scratch and retains the state (plus the interned
+    /// views of every agent, so the first update already reuses the
+    /// arena).
+    ///
+    /// `_threads` is ignored: every solve runs on one thread, and the
+    /// argument stays so existing callers compile unchanged.
+    pub fn new(sf: SpecialForm, big_r: usize, _threads: usize) -> Self {
         assert!(big_r >= 2);
-        let threads = threads.max(1);
-        let run = solve_special(&sf, big_r, threads);
+        let run = solve_special(&sf, big_r);
         let graph = CommGraph::new(sf.instance());
         let mut arena = ViewArena::new();
         let mut interner = ViewInterner::new(sf.instance());
@@ -141,7 +142,6 @@ impl DynamicSolver {
             sf,
             graph,
             big_r,
-            threads,
             run,
             arena,
             interner,
@@ -167,11 +167,6 @@ impl DynamicSolver {
     /// The locality parameter `R`.
     pub fn big_r(&self) -> usize {
         self.big_r
-    }
-
-    /// Worker threads used by from-scratch (re)solves.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Interned nodes currently held by the persistent arena.
@@ -449,7 +444,7 @@ impl DynamicSolver {
     /// scratch, and re-intern every agent view into the persistent arena
     /// (unchanged regions still hash-cons to their old ids).
     fn rebuild(&mut self, sf: SpecialForm) -> UpdateReport {
-        let run = solve_special(&sf, self.big_r, self.threads);
+        let run = solve_special(&sf, self.big_r);
         let graph = CommGraph::new(sf.instance());
         let mut interner = ViewInterner::new(sf.instance());
         let depth = 4 * (self.big_r - 2) + 2;
@@ -544,7 +539,7 @@ mod tests {
                     let row = dynamic.special_form().instance().constraint_row(i);
                     let new = [row[0].coef * factor, row[1].coef / factor];
                     dynamic.update_constraint_coefs(i, new);
-                    let reference = solve_special(dynamic.special_form(), big_r, 1);
+                    let reference = solve_special(dynamic.special_form(), big_r);
                     assert_bitwise_eq(
                         &dynamic,
                         &reference,
@@ -553,24 +548,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn threaded_scratch_solve_is_bit_identical() {
-        // Satellite: `new` accepts a thread count, and the threaded flat
-        // path must agree with the scalar one bit for bit — both at
-        // construction and after an update.
-        let sf = fixture(40, 11);
-        let scalar = DynamicSolver::new(sf.clone(), 3, 1);
-        let mut threaded = DynamicSolver::new(sf, 3, 4);
-        assert_eq!(threaded.threads(), 4);
-        assert_bitwise_eq(&threaded, scalar.run(), "construction");
-        let i = ConstraintId::new(3);
-        let row = threaded.special_form().instance().constraint_row(i);
-        let new = [row[0].coef * 1.5, row[1].coef * 0.5];
-        threaded.update_constraint_coefs(i, new);
-        let reference = solve_special(threaded.special_form(), 3, 4);
-        assert_bitwise_eq(&threaded, &reference, "after update");
     }
 
     #[test]
@@ -710,7 +687,7 @@ mod tests {
         );
         let rep = dynamic.apply_delta(&d).expect("structurally valid");
         assert_eq!(rep.recomputed_x, dynamic.special_form().n_agents());
-        let reference = solve_special(dynamic.special_form(), 3, 1);
+        let reference = solve_special(dynamic.special_form(), 3);
         assert_bitwise_eq(&dynamic, &reference, "structural rebuild");
         assert!(dynamic.special_form().instance().n_constraints() > 0);
     }
@@ -739,7 +716,7 @@ mod tests {
                 let row = dynamic.special_form().instance().constraint_row(i);
                 let new = [row[0].coef * 0.7, row[1].coef * 1.9];
                 dynamic.update_constraint_coefs(i, new);
-                let reference = solve_special(dynamic.special_form(), big_r, 1);
+                let reference = solve_special(dynamic.special_form(), big_r);
                 assert_bitwise_eq(&dynamic, &reference, &format!("R {big_r} cons {cons}"));
             }
         }
@@ -788,14 +765,12 @@ mod proptests {
         /// Catalogue-wide §1.3 soundness: for every family that yields a
         /// special-form instance, a random sequence of k coefficient
         /// edits applied incrementally is bit-identical to a
-        /// from-scratch solve of the final revision — across thread
-        /// counts.
+        /// from-scratch solve of the final revision.
         #[test]
         fn k_incremental_edits_match_scratch_solve(
             size in 16usize..40,
             seed in 0u64..500,
             k in 1usize..6,
-            threads in 1usize..4,
         ) {
             for fam in catalog() {
                 let inst = fam.instance(size, seed);
@@ -805,7 +780,7 @@ mod proptests {
                 if sf.instance().n_constraints() == 0 {
                     continue;
                 }
-                let mut dynamic = DynamicSolver::new(sf, 3, threads);
+                let mut dynamic = DynamicSolver::new(sf, 3, 1);
                 let mut mix = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ size as u64;
                 for step in 0..k {
                     mix = mix
@@ -832,7 +807,7 @@ mod proptests {
                         fam.name, step
                     );
                 }
-                let reference = solve_special(dynamic.special_form(), 3, 1);
+                let reference = solve_special(dynamic.special_form(), 3);
                 for v in 0..dynamic.special_form().n_agents() {
                     prop_assert_eq!(
                         dynamic.run().x.as_slice()[v].to_bits(),

@@ -344,7 +344,7 @@ mod tests {
             let (inst, is_up) = layered_special(periods, m, dk, (0.5, 2.0), 42);
             let sf = SpecialForm::new(inst).unwrap();
             let layers = assign_layers_mod(&sf, &is_up, 4 * big_r, ObjectiveId::new(0)).unwrap();
-            let run = solve_special(&sf, big_r, 1);
+            let run = solve_special(&sf, big_r);
             let g = CommGraph::new(sf.instance());
             for j in 0..big_r {
                 let y = shifted_solution(&sf, &layers, &run.g, big_r, j);
@@ -381,7 +381,7 @@ mod tests {
         let sf = SpecialForm::new(inst).unwrap();
         let big_r = 3;
         let layers = assign_layers_mod(&sf, &is_up, 4 * big_r, ObjectiveId::new(0)).unwrap();
-        let run = solve_special(&sf, big_r, 1);
+        let run = solve_special(&sf, big_r);
         let y = averaged_solution(&sf, &layers, &run.g, big_r);
         assert!(y.is_feasible(sf.instance(), 1e-9), "Lemma 10 feasibility");
         // y equals the mean of the R shifted solutions.
@@ -415,7 +415,7 @@ mod tests {
         let (inst, _) = layered_special(6, 2, 3, (0.5, 2.0), 3);
         let sf = SpecialForm::new(inst).unwrap();
         let big_r = 3;
-        let run = solve_special(&sf, big_r, 1);
+        let run = solve_special(&sf, big_r);
         let rebuilt = role_average(&sf, &run.g, big_r);
         let reference = smoothing::output(&sf, &run.g, big_r);
         for v in sf.instance().agents() {

@@ -132,10 +132,10 @@ pub struct SpecialRun {
 }
 
 /// Runs the complete special-form algorithm (§5) with locality parameter
-/// `R ≥ 2`, optionally computing the `t_u` in parallel.
-pub fn solve_special(sf: &SpecialForm, big_r: usize, threads: usize) -> SpecialRun {
+/// `R ≥ 2`.
+pub fn solve_special(sf: &SpecialForm, big_r: usize) -> SpecialRun {
     let tb = TreeBound::new(sf, big_r);
-    let t = tb.all_parallel(threads);
+    let t = tb.all();
     let r = big_r - 2;
     let s = smooth(sf, &t, r);
     let g = g_tables(sf, &s, r);
@@ -176,7 +176,7 @@ mod tests {
     #[test]
     fn smoothing_is_bounded_by_own_t() {
         let s = sf(1);
-        let run = solve_special(&s, 3, 1);
+        let run = solve_special(&s, 3);
         for v in 0..s.n_agents() {
             assert!(run.s[v] <= run.t[v] + 1e-12, "s_v ≤ t_v by definition");
             assert!(run.s[v] >= 0.0);
@@ -201,7 +201,7 @@ mod tests {
         for seed in 0..5 {
             let s = sf(seed);
             for big_r in [2, 3, 4] {
-                let run = solve_special(&s, big_r, 1);
+                let run = solve_special(&s, big_r);
                 let r = big_r - 2;
                 for v in 0..s.n_agents() {
                     assert!(run.g.g_plus[r][v] >= -1e-12, "Lemma 5: g⁺ ≥ 0");
@@ -218,7 +218,7 @@ mod tests {
     fn lemma6_monotonicity_holds() {
         // g⁻_{v,d−1} ≤ g⁻_{v,d} and g⁺_{v,d} ≤ g⁺_{v,d−1}.
         let s = sf(3);
-        let run = solve_special(&s, 5, 1);
+        let run = solve_special(&s, 5);
         let r = 3;
         for d in 1..=r {
             for v in 0..s.n_agents() {
@@ -237,7 +237,7 @@ mod tests {
     #[test]
     fn lemma7_nonnegativity_holds() {
         let s = sf(4);
-        let run = solve_special(&s, 4, 1);
+        let run = solve_special(&s, 4);
         for d in 0..run.g.g_plus.len() {
             for v in 0..s.n_agents() {
                 assert!(run.g.g_plus[d][v] >= -1e-12, "Lemma 7: g⁺_{{v,d}} ≥ 0");
@@ -252,7 +252,7 @@ mod tests {
         for seed in 0..8 {
             let s = sf(seed);
             for big_r in [2, 3, 4] {
-                let run = solve_special(&s, big_r, 1);
+                let run = solve_special(&s, big_r);
                 let rep = run.x.feasibility(s.instance());
                 assert!(
                     rep.is_feasible(1e-9),
@@ -269,7 +269,7 @@ mod tests {
         for seed in 0..5 {
             let s = sf(seed);
             for big_r in [2, 3, 5] {
-                let run = solve_special(&s, big_r, 1);
+                let run = solve_special(&s, big_r);
                 for k in s.instance().objectives() {
                     let row = s.instance().objective_row(k);
                     let vk = row.len() as f64;
@@ -297,7 +297,7 @@ mod tests {
         // algorithm is optimal on the cycle.
         let s = SpecialForm::new(cycle_special(12, 1.0)).unwrap();
         for big_r in [3, 4, 6] {
-            let run = solve_special(&s, big_r, 1);
+            let run = solve_special(&s, big_r);
             for v in 0..s.n_agents() {
                 assert!(
                     (run.x.value(AgentId::new(v as u32)) - 0.5).abs() < 1e-9,
@@ -314,7 +314,7 @@ mod tests {
         let s = SpecialForm::new(cycle_special(16, 1.0)).unwrap();
         let mut last = 0.0;
         for big_r in 2..=6 {
-            let run = solve_special(&s, big_r, 1);
+            let run = solve_special(&s, big_r);
             let u = run.x.utility(s.instance());
             assert!(
                 u >= last - 1e-9,
@@ -410,7 +410,7 @@ mod ablation_tests {
     #[test]
     fn none_matches_solve_special() {
         let s = sf(0);
-        let full = solve_special(&s, 3, 1);
+        let full = solve_special(&s, 3);
         let ablated = solve_special_ablated(&s, 3, Ablation::None);
         for v in 0..s.n_agents() {
             assert_eq!(
@@ -444,7 +444,7 @@ mod ablation_tests {
         let mut down_breaks = 0.0f64;
         for seed in 0..8 {
             let s = sf(seed);
-            let full = solve_special(&s, 3, 1);
+            let full = solve_special(&s, 3);
             let up = solve_special_ablated(&s, 3, Ablation::UpOnly);
             let down = solve_special_ablated(&s, 3, Ablation::DownOnly);
             // Up-only keeps feasibility (g⁻ ≤ the feasible f⁻ pattern)

@@ -23,7 +23,6 @@ use mmlp_net::RunStats;
 #[derive(Clone, Copy, Debug)]
 pub struct LocalSolver {
     big_r: usize,
-    threads: usize,
     via_network: bool,
 }
 
@@ -47,7 +46,7 @@ pub struct LocalSolverOutput {
     /// `arena_bytes`, `peak_arena_bytes`, [`RunStats::dedup_ratio`]).
     /// `None` for the centralized path.
     pub net_stats: Option<RunStats>,
-    /// Per-phase wall times and memo/chunk telemetry of the flat solve
+    /// Per-phase wall times and memo telemetry of the flat solve
     /// ([`distributed::FlatSolveTrace`]). `Some` only on the network
     /// path — the solve is then run through the traced entry point,
     /// which is bit-identical to the untraced one.
@@ -81,7 +80,6 @@ impl LocalSolver {
         assert!(big_r >= 2, "the paper requires R ≥ 2");
         LocalSolver {
             big_r,
-            threads: 1,
             via_network: false,
         }
     }
@@ -92,18 +90,6 @@ impl LocalSolver {
         let s = DegreeStats::of(inst);
         let (di, dk) = (s.delta_i.max(2), s.delta_k.max(2));
         Self::new(ratio::r_for_epsilon(di, dk, epsilon))
-    }
-
-    /// Sets the worker-thread **upper bound** for the per-agent `t_u`
-    /// batch (bit-identical results at every count; see
-    /// `tree_bound::all_parallel` for the centralized path). On the flat
-    /// network path the batch additionally caps workers at the host's
-    /// available parallelism and stays scalar below
-    /// [`distributed::FLAT_T_PARALLEL_MIN_WORK`] units of subtree work,
-    /// so asking for more threads than the work supports never costs.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Runs the §5 phase over the **flat network path**
@@ -136,15 +122,10 @@ impl LocalSolver {
         let sf = SpecialForm::new(transformed.instance.clone())
             .expect("§4 pipeline produces special form");
         let (run, net_stats, flat_trace) = if self.via_network {
-            let (run, stats, trace) =
-                distributed::solve_special_flat_traced(&sf, self.big_r, self.threads);
+            let (run, stats, trace) = distributed::solve_special_flat_traced(&sf, self.big_r);
             (run, Some(stats), Some(trace))
         } else {
-            (
-                smoothing::solve_special(&sf, self.big_r, self.threads),
-                None,
-                None,
-            )
+            (smoothing::solve_special(&sf, self.big_r), None, None)
         };
         let solution = transformed.map_back(&run.x);
         LocalSolverOutput {
@@ -160,7 +141,7 @@ impl LocalSolver {
     /// Solves an instance already in special form, skipping the pipeline
     /// (used by benchmarks and by the distributed comparison).
     pub fn solve_special(&self, sf: &SpecialForm) -> SpecialRun {
-        smoothing::solve_special(sf, self.big_r, self.threads)
+        smoothing::solve_special(sf, self.big_r)
     }
 }
 
@@ -247,16 +228,6 @@ mod tests {
         let inst = cycle_special(10, 1.0);
         let out = LocalSolver::new(4).solve(&inst);
         assert!((out.solution.utility(&inst) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn threads_do_not_change_output() {
-        let inst = random_general(&cfg(), 5);
-        let a = LocalSolver::new(3).solve(&inst);
-        let b = LocalSolver::new(3).with_threads(4).solve(&inst);
-        for v in inst.agents() {
-            assert_eq!(a.solution.value(v).to_bits(), b.solution.value(v).to_bits());
-        }
     }
 
     #[test]

@@ -155,7 +155,7 @@ impl<'a> TreeBound<'a> {
         lo
     }
 
-    /// `t_u` for every agent, sequentially.
+    /// `t_u` for every agent.
     pub fn all(&self) -> Vec<f64> {
         let mut sc = Scratch::default();
         self.sf
@@ -163,30 +163,6 @@ impl<'a> TreeBound<'a> {
             .agents()
             .map(|u| self.t(u, &mut sc))
             .collect()
-    }
-
-    /// `t_u` for every agent using `threads` crossbeam workers; identical
-    /// output to [`TreeBound::all`] (each `t_u` is independent).
-    pub fn all_parallel(&self, threads: usize) -> Vec<f64> {
-        let n = self.sf.n_agents();
-        let threads = threads.max(1);
-        if threads == 1 || n < 64 {
-            return self.all();
-        }
-        let mut out = vec![0.0f64; n];
-        let chunk = n.div_ceil(threads);
-        crossbeam::thread::scope(|scope| {
-            for (shard, slot) in out.chunks_mut(chunk).enumerate() {
-                scope.spawn(move |_| {
-                    let mut sc = Scratch::default();
-                    for (off, val) in slot.iter_mut().enumerate() {
-                        *val = self.t(AgentId::new((shard * chunk + off) as u32), &mut sc);
-                    }
-                });
-            }
-        })
-        .expect("t_u workers");
-        out
     }
 
     /// Number of nodes of `A_u` (agents + constraints + objectives) —
@@ -434,26 +410,6 @@ mod tests {
             assert!(tb.feasible(u, frac * t, &mut sc), "below t is feasible");
         }
         assert!(!tb.feasible(u, t * 1.001 + 1e-6, &mut sc), "above t fails");
-    }
-
-    #[test]
-    fn parallel_equals_sequential() {
-        let s = sf(random_special_form(
-            &SpecialFormConfig {
-                n_objectives: 40,
-                ..SpecialFormConfig::default()
-            },
-            2,
-        ));
-        let tb = TreeBound::new(&s, 3);
-        let seq = tb.all();
-        for threads in [2, 4] {
-            let par = tb.all_parallel(threads);
-            assert_eq!(seq.len(), par.len());
-            for (a, b) in seq.iter().zip(&par) {
-                assert_eq!(a.to_bits(), b.to_bits(), "bit-identical results");
-            }
-        }
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub fn execute_job(job: &Job) -> JobRecord {
             // point (bit-identical to the untraced one): the record
             // carries the dedup counters plus the per-phase/memo
             // snapshot the reports and perf-trajectory pipeline use.
-            let (run, flat_trace) = distributed::solve_distributed_flat_traced(&sf, job.big_r, 1);
+            let (run, flat_trace) = distributed::solve_distributed_flat_traced(&sf, job.big_r);
             let x = transformed.map_back(&run.solution);
             interned = run.stats.interned_nodes;
             arena_bytes = run.stats.arena_bytes;
@@ -226,7 +226,7 @@ fn execute_mutating_job(job: &Job, inst: Instance) -> JobRecord {
         recomputed_x += report.recomputed_x as u64;
         // Certify: the §1.3 claim is that the dirty-ball repair lands
         // on the same bits as starting over.
-        let reference = solve_special(dynamic.special_form(), job.big_r, 1);
+        let reference = solve_special(dynamic.special_form(), job.big_r);
         let repaired = dynamic.run().x.as_slice();
         if repaired
             .iter()

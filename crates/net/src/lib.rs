@@ -16,8 +16,8 @@
 //!
 //! * [`topology::Network`] — the communication graph of an instance plus
 //!   each node's (anonymous) local input.
-//! * [`engine`] — sequential and crossbeam-parallel round executors for
-//!   any [`engine::Protocol`]; both produce bit-identical results.
+//! * [`engine`] — the synchronous round executor for any
+//!   [`engine::Protocol`].
 //! * [`view`] — full-information *view gathering*: after `D` rounds
 //!   every node holds its radius-`D` view of the **unfolding** (universal
 //!   cover) of the network, which is the canonical way to implement any

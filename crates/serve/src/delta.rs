@@ -7,7 +7,7 @@
 //! first:
 //!
 //! 1. **warm** — a solver is already parked at `<rev>` (for this
-//!    `(R, threads)`): render the body straight from its state;
+//!    `R`): render the body straight from its state;
 //! 2. **advanced** — a solver is parked at an *ancestor* revision:
 //!    replay the lineage deltas between the two through
 //!    [`DynamicSolver::apply_delta`], which repairs ball-locally for
@@ -42,16 +42,12 @@ use std::sync::{Arc, Mutex};
 // by construction: a parked solver can never be observed mid-replay or
 // rendered for a revision it has already left.
 
-/// Solvers are keyed by the revision they are parked at **and** the
-/// request shape: a different `R` needs a different horizon, and the
-/// thread count is kept in the key so the service never has to assume
-/// bit-identity across counts (it holds, and tests assert it, but the
-/// cache stays honest by construction).
+/// Solvers are keyed by the revision they are parked at **and** `R`:
+/// a different `R` needs a different horizon.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 struct SolverKey {
     revision: u64,
     big_r: usize,
-    threads: usize,
 }
 
 /// One registered delta edge of the revision graph.
@@ -151,17 +147,12 @@ impl DeltaCoordinator {
         &self,
         revision: u64,
         big_r: usize,
-        threads: usize,
         fetch: F,
     ) -> Result<(String, DeltaSolveInfo), (ErrorCode, String)>
     where
         F: Fn(u64) -> Option<Arc<Instance>>,
     {
-        let key = SolverKey {
-            revision,
-            big_r,
-            threads,
-        };
+        let key = SolverKey { revision, big_r };
         let mut solvers = self.solvers.lock().expect("solver lock");
         // Fast path: a solver parked at exactly this revision.
         if let Some(solver) = solvers.get(&key) {
@@ -195,7 +186,6 @@ impl DeltaCoordinator {
                 if let Some(solver) = solvers.remove(&SolverKey {
                     revision: cursor,
                     big_r,
-                    threads,
                 }) {
                     break (solver, DeltaMode::Advanced);
                 }
@@ -233,7 +223,7 @@ impl DeltaCoordinator {
                             ),
                         )
                     })?;
-                    break (DynamicSolver::new(sf, big_r, threads), DeltaMode::Booted);
+                    break (DynamicSolver::new(sf, big_r, 1), DeltaMode::Booted);
                 }
             }
         };
@@ -398,14 +388,14 @@ mod tests {
         }
 
         // Cold: boots at v0, replays 3 deltas.
-        let (body, info) = coordinator.solve(tip, 3, 1, fetch).unwrap();
+        let (body, info) = coordinator.solve(tip, 3, fetch).unwrap();
         assert_eq!(info.mode, DeltaMode::Booted);
         assert_eq!(info.replayed, 3);
         assert!(info.recomputed_x > 0);
         assert_eq!(body, execute(Op::Solve, &cur, 3, 1).unwrap());
 
         // Warm: the solver is parked at the tip now.
-        let (again, info) = coordinator.solve(tip, 3, 1, fetch).unwrap();
+        let (again, info) = coordinator.solve(tip, 3, fetch).unwrap();
         assert_eq!(info.mode, DeltaMode::Warm);
         assert_eq!(again, body);
 
@@ -413,7 +403,7 @@ mod tests {
         let d = coef_delta(&cur, 4, 2.0);
         let (v4, lin) = d.apply_hashed(&cur).unwrap();
         coordinator.record(lin.new, lin.base, d.to_text());
-        let (body4, info) = coordinator.solve(lin.new, 3, 1, fetch).unwrap();
+        let (body4, info) = coordinator.solve(lin.new, 3, fetch).unwrap();
         assert_eq!(info.mode, DeltaMode::Advanced);
         assert_eq!(info.replayed, 1);
         assert_eq!(body4, execute(Op::Solve, &v4, 3, 1).unwrap());
@@ -423,7 +413,7 @@ mod tests {
     #[test]
     fn unknown_root_is_nobase_and_non_special_is_baddelta() {
         let coordinator = DeltaCoordinator::new(1 << 20);
-        let err = coordinator.solve(0xdead, 3, 1, |_| None).unwrap_err();
+        let err = coordinator.solve(0xdead, 3, |_| None).unwrap_err();
         assert_eq!(err.0, ErrorCode::NoBase);
 
         // A general (non-special-form) instance at the chain root.
@@ -435,7 +425,7 @@ mod tests {
         let h = instance_hash(&general);
         let general = Arc::new(general);
         let err = coordinator
-            .solve(h, 3, 1, |q| (q == h).then(|| Arc::clone(&general)))
+            .solve(h, 3, |q| (q == h).then(|| Arc::clone(&general)))
             .unwrap_err();
         assert_eq!(err.0, ErrorCode::BadDelta);
     }

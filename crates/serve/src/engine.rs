@@ -7,10 +7,9 @@
 //! criterion bench) and unit-testable without a listener.
 //!
 //! **Cache correctness.** Every solver in this workspace is
-//! deterministic for a fixed `(instance, R, threads)` — the local
-//! algorithm is a constant-radius per-node computation, the simplex is
-//! sequential, and the parallel bound computation is bit-identical by
-//! construction (`tree_bound::all_parallel`). Reply bodies render
+//! deterministic for a fixed `(instance, R)` — the local algorithm is a
+//! constant-radius per-node computation, and every solve (local or
+//! simplex) runs on one thread. Reply bodies render
 //! floats with Rust's shortest-round-trip formatting, so a cache hit is
 //! **bit-identical** to the cold solve it replaces; the e2e suite
 //! asserts exactly that over real sockets.
@@ -38,10 +37,6 @@ pub struct CacheKey {
     pub op: Op,
     /// Locality parameter (0 for R-insensitive ops).
     pub big_r: usize,
-    /// Solver thread count (results are bit-identical across thread
-    /// counts, but the key keeps the service honest rather than
-    /// assuming it).
-    pub threads: usize,
 }
 
 impl ShardKey for CacheKey {
@@ -56,17 +51,20 @@ impl ShardKey for CacheKey {
 impl CacheKey {
     /// Builds the key, normalising R away for ops that ignore it so
     /// equivalent requests share one entry.
-    pub fn new(instance: u64, op: Op, big_r: usize, threads: usize) -> Self {
-        let (big_r, threads) = match op {
-            Op::Solve | Op::SolveDelta => (big_r, threads),
-            // OPTIMUM/SAFE/INFO ignore both parameters.
-            _ => (0, 1),
+    ///
+    /// `_threads` is ignored: a solve runs on one thread, so no thread
+    /// count is part of a key. The argument stays so existing callers
+    /// compile unchanged.
+    pub fn new(instance: u64, op: Op, big_r: usize, _threads: usize) -> Self {
+        let big_r = match op {
+            Op::Solve | Op::SolveDelta => big_r,
+            // OPTIMUM/SAFE/INFO ignore R.
+            _ => 0,
         };
         CacheKey {
             instance,
             op,
             big_r,
-            threads,
         }
     }
 }
@@ -157,13 +155,14 @@ impl Engine {
                 if results_used + u64::from(disk_len) > engine.results.budget() {
                     break;
                 }
+                // Records written before thread counts left the key
+                // carry `threads ≠ 0`; they load under the normalised
+                // key, and the first record of each key wins.
+                let key = CacheKey::new(rkey.instance, op, rkey.big_r as usize, 0);
+                if engine.results.contains(&key) {
+                    continue;
+                }
                 if let Some(body) = persist.get_result(&rkey)? {
-                    let key = CacheKey {
-                        instance: rkey.instance,
-                        op,
-                        big_r: rkey.big_r as usize,
-                        threads: rkey.threads as usize,
-                    };
                     let cost = body.len() as u64;
                     if engine.results.insert(key, Arc::new(body), cost) {
                         warm.results += 1;
@@ -267,7 +266,7 @@ impl Engine {
                 instance: key.instance,
                 op: key.op.code(),
                 big_r: key.big_r as u32,
-                threads: key.threads as u32,
+                threads: 0,
             };
             self.note_persist(p.put_result(rkey, &body));
         }
@@ -348,14 +347,16 @@ impl Engine {
     /// Incrementally solves a registered revision via the delta
     /// coordinator (warm / advanced / booted — see [`crate::delta`]).
     /// The body is bit-identical to `SOLVE` of the same revision.
+    ///
+    /// `_threads` is ignored: every solve runs on one thread, and the
+    /// argument stays so existing callers compile unchanged.
     pub fn solve_delta(
         &self,
         revision: u64,
         big_r: usize,
-        threads: usize,
+        _threads: usize,
     ) -> Result<(String, DeltaSolveInfo), EngineError> {
-        self.delta
-            .solve(revision, big_r, threads, |h| self.store.get(&h))
+        self.delta.solve(revision, big_r, |h| self.store.get(&h))
     }
 
     /// `(lineage edges, parked solvers, parked solver bytes)`.
@@ -377,7 +378,7 @@ pub struct SolveInfo {
     pub arena_bytes: u64,
     /// Peak arena footprint during the solve.
     pub peak_arena_bytes: u64,
-    /// Per-phase wall times and memo/chunk telemetry of the flat solve
+    /// Per-phase wall times and memo telemetry of the flat solve
     /// (all-zero only if the network path ever stopped tracing).
     pub trace: mmlp_core::distributed::FlatSolveTrace,
 }
@@ -389,7 +390,6 @@ pub fn execute_traced(
     op: Op,
     inst: &Instance,
     big_r: usize,
-    threads: usize,
 ) -> Result<(String, Option<SolveInfo>), String> {
     let mut out = String::new();
     let mut info = None;
@@ -399,9 +399,7 @@ pub fn execute_traced(
             // Cold solves run over the flat network path: bit-identical
             // bodies to the centralized path (asserted in tests), plus
             // the dedup accounting STATS surfaces.
-            let solver = LocalSolver::new(big_r.max(2))
-                .with_threads(threads.max(1))
-                .via_network(true);
+            let solver = LocalSolver::new(big_r.max(2)).via_network(true);
             let run = solver.solve(inst);
             let utility = run.solution.utility(inst);
             let _ = writeln!(out, "utility {utility}");
@@ -470,8 +468,11 @@ pub fn execute_traced(
 /// submits to the worker pool, and what the bench calls "cold".
 /// `Err` is a one-line reason (e.g. an unbounded instance under
 /// `OPTIMUM`), mapped to `ERR INTERNAL` on the wire and never cached.
-pub fn execute(op: Op, inst: &Instance, big_r: usize, threads: usize) -> Result<String, String> {
-    execute_traced(op, inst, big_r, threads).map(|(body, _)| body)
+///
+/// `_threads` is ignored: every solve runs on one thread, and the
+/// argument stays so existing callers compile unchanged.
+pub fn execute(op: Op, inst: &Instance, big_r: usize, _threads: usize) -> Result<String, String> {
+    execute_traced(op, inst, big_r).map(|(body, _)| body)
 }
 
 #[cfg(test)]
@@ -527,17 +528,12 @@ mod tests {
             assert_eq!(a, b, "{op:?} must be deterministic");
             assert!(!a.is_empty());
         }
-        // Thread count must not change the solve body (bit-identity).
-        assert_eq!(
-            execute(Op::Solve, &i, 3, 1).unwrap(),
-            execute(Op::Solve, &i, 3, 4).unwrap()
-        );
     }
 
     #[test]
     fn solve_reports_view_dedup_info() {
         let i = inst();
-        let (body, info) = execute_traced(Op::Solve, &i, 3, 1).unwrap();
+        let (body, info) = execute_traced(Op::Solve, &i, 3).unwrap();
         let info = info.expect("SOLVE runs the flat network path");
         assert!(info.interned_nodes > 0 && info.arena_bytes > 0);
         assert!(
@@ -551,7 +547,7 @@ mod tests {
         );
         assert_eq!(body, execute(Op::Solve, &i, 3, 1).unwrap());
         // Ops that build no views report no info.
-        let (_, none) = execute_traced(Op::Info, &i, 3, 1).unwrap();
+        let (_, none) = execute_traced(Op::Info, &i, 3).unwrap();
         assert_eq!(none, None);
     }
 
@@ -563,6 +559,56 @@ mod tests {
         let s1 = CacheKey::new(7, Op::Solve, 3, 1);
         let s2 = CacheKey::new(7, Op::Solve, 4, 1);
         assert_ne!(s1, s2);
+        assert_eq!(
+            s1,
+            CacheKey::new(7, Op::Solve, 3, 4),
+            "threads are not keyed"
+        );
+    }
+
+    #[test]
+    fn records_of_any_thread_count_load_under_one_key() {
+        let dir = std::env::temp_dir().join(format!(
+            "mmlp-engine-threads-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let body = execute(Op::Solve, &inst(), 3, 1).unwrap();
+        let h;
+        {
+            let (store, _) = Store::open(&dir).unwrap();
+            h = store.put_instance(&inst()).unwrap();
+            // Older servers keyed results by their thread count.
+            for threads in [1, 4] {
+                let rkey = ResultKey {
+                    instance: h,
+                    op: Op::Solve.code(),
+                    big_r: 3,
+                    threads,
+                };
+                store.put_result(rkey, &body).unwrap();
+            }
+        }
+        let (store, _) = Store::open(&dir).unwrap();
+        let e = Engine::with_store(1 << 20, 1 << 20, store).unwrap();
+        assert_eq!(e.warm_start().results, 1, "deduplicated in memory");
+        let warm = e
+            .cached(&CacheKey::new(h, Op::Solve, 3, 1))
+            .expect("warm hit");
+        assert_eq!(warm.as_bytes(), body.as_bytes());
+        // New inserts are written with `threads = 0`.
+        e.insert(CacheKey::new(h, Op::Safe, 0, 1), Arc::new("x".into()));
+        drop(e);
+        let (store, _) = Store::open(&dir).unwrap();
+        let safe_threads: Vec<u32> = store
+            .result_records()
+            .into_iter()
+            .filter(|(k, _)| k.op == Op::Safe.code())
+            .map(|(k, _)| k.threads)
+            .collect();
+        assert_eq!(safe_threads, [0]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -679,6 +725,10 @@ mod tests {
         let (body, info) = e.solve_delta(lin.new, 3, 1).unwrap();
         assert_eq!(body, execute(Op::Solve, &new_inst, 3, 1).unwrap());
         assert!(info.recomputed_x > 0);
+        // Another thread count resolves to the same parked solver.
+        let (again, info) = e.solve_delta(lin.new, 3, 4).unwrap();
+        assert_eq!(info.mode, crate::delta::DeltaMode::Warm);
+        assert_eq!(again, body);
         let (edges, solvers, bytes) = e.delta_stats();
         assert_eq!((edges, solvers), (1, 1));
         assert!(bytes > 0);

@@ -17,7 +17,7 @@
 //!   and the `SLEEP` diagnostic), length-prefixed bodies, typed error
 //!   codes.
 //! * [`cache`] — a byte-budgeted O(1) LRU used for both the result
-//!   cache (keyed by `(instance-hash, op, R, threads)`) and the
+//!   cache (keyed by `(instance-hash, op, R)`) and the
 //!   content-addressed instance store fed by `PUT`.
 //! * [`engine`] — the sockets-free core: resolve source → probe cache
 //!   → execute solver → insert; directly benchmarked by `serve_cache`.
@@ -71,8 +71,8 @@
 //! let inst = mmlp_gen::catalog()[0].instance(8, 0);
 //! let mut c = Client::connect(&addr).unwrap();
 //! let hash = c.put(&textfmt::write_instance(&inst)).unwrap().unwrap();
-//! let cold = c.run_hash(Op::Solve, &hash, 3, 1).unwrap().into_ok().unwrap();
-//! let warm = c.run_hash(Op::Solve, &hash, 3, 1).unwrap().into_ok().unwrap();
+//! let cold = c.run_hash(Op::Solve, &hash, 3).unwrap().into_ok().unwrap();
+//! let warm = c.run_hash(Op::Solve, &hash, 3).unwrap().into_ok().unwrap();
 //! assert_eq!(cold, warm);
 //!
 //! c.shutdown().unwrap();

@@ -15,6 +15,9 @@
 //!                                      canonical delta text) against a
 //!                                      stored base revision
 //!   SOLVE <src> [R=<n>] [THREADS=<n>]  the paper's local algorithm
+//!                                      (THREADS= is validated, then
+//!                                      ignored: a solve runs on one
+//!                                      thread)
 //!   SOLVE_DELTA <src> [R=] [THREADS=]  incremental re-solve of a
 //!                                      revision (hash:<new rev>, or
 //!                                      inline:<n> with delta text —
@@ -123,12 +126,7 @@ pub enum Command {
     /// against its base revision; replies with the lineage triple.
     PutDelta { nbytes: usize },
     /// Run a solver [`Op`] against a [`Source`].
-    Run {
-        op: Op,
-        src: Source,
-        big_r: usize,
-        threads: usize,
-    },
+    Run { op: Op, src: Source, big_r: usize },
     /// Server counters and latency percentiles.
     Stats,
     /// The full metrics registry in Prometheus text exposition format.
@@ -161,8 +159,6 @@ impl Command {
 
 /// Default locality parameter when `R=` is omitted.
 pub const DEFAULT_R: usize = 3;
-/// Default solver thread count when `THREADS=` is omitted.
-pub const DEFAULT_THREADS: usize = 1;
 
 /// Error codes on the wire. `BUSY` is the backpressure signal; clients
 /// are expected to back off and retry.
@@ -318,10 +314,11 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
             };
             let src = parse_source(tokens.next().ok_or(format!("{verb} needs a source"))?)?;
             let mut big_r = DEFAULT_R;
-            let mut threads = DEFAULT_THREADS;
-            // Both parameters are bounded to u32 so the persisted
-            // result key (`mmlp_store::ResultKey`, u32 fields) can
-            // never truncate-collide two distinct requests.
+            // R is bounded to u32 so the persisted result key
+            // (`mmlp_store::ResultKey`, u32 fields) can never
+            // truncate-collide two distinct requests. THREADS= from
+            // older clients is still validated, then discarded: a
+            // solve runs on one thread.
             for tok in tokens.by_ref() {
                 if let Some(v) = tok.strip_prefix("R=") {
                     big_r = v
@@ -330,8 +327,7 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
                         .filter(|r| *r >= 2 && *r <= u32::MAX as usize)
                         .ok_or_else(|| format!("bad R '{v}' (need an integer ≥ 2, ≤ 2^32−1)"))?;
                 } else if let Some(v) = tok.strip_prefix("THREADS=") {
-                    threads = v
-                        .parse()
+                    v.parse::<usize>()
                         .ok()
                         .filter(|t| *t >= 1 && *t <= u32::MAX as usize)
                         .ok_or_else(|| format!("bad THREADS '{v}'"))?;
@@ -339,12 +335,7 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
                     return Err(format!("unknown parameter '{tok}'"));
                 }
             }
-            Command::Run {
-                op,
-                src,
-                big_r,
-                threads,
-            }
+            Command::Run { op, src, big_r }
         }
         "STATS" => Command::Stats,
         "METRICS" => Command::Metrics,
@@ -385,7 +376,6 @@ mod tests {
                 op: Op::SolveDelta,
                 src: Source::Hash(0x00de_adbe_ef00_1122),
                 big_r: 4,
-                threads: 2,
             })
         );
         assert!(matches!(
@@ -402,7 +392,6 @@ mod tests {
                 op: Op::Solve,
                 src: Source::Hash(0x00de_adbe_ef00_1122),
                 big_r: 4,
-                threads: 2,
             })
         );
         assert_eq!(
@@ -411,7 +400,6 @@ mod tests {
                 op: Op::Optimum,
                 src: Source::Inline(64),
                 big_r: DEFAULT_R,
-                threads: DEFAULT_THREADS,
             })
         );
         assert!(matches!(
@@ -445,6 +433,7 @@ mod tests {
             "SOLVE hash:123",              // not 16 hex digits
             "SOLVE inline:3 R=1",          // R < 2
             "SOLVE inline:3 R=4294967296", // R > u32::MAX would truncate the persisted key
+            "SOLVE inline:3 THREADS=0",
             "SOLVE inline:3 THREADS=4294967296",
             "SOLVE inline:3 BAD=1", // unknown param
             "STATS extra",          // trailing token

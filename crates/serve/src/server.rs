@@ -988,18 +988,9 @@ fn execute_command(
             };
             finalize_inline(shared, conn, ctx, reply, false)
         }
-        Command::Run {
-            op,
-            src,
-            big_r,
-            threads,
-        } => {
-            // An untrusted client must not size the server's thread
-            // usage: clamp THREADS to the worker count (results are
-            // bit-identical across thread counts anyway).
-            let threads = threads.min(shared.cfg.workers.max(1));
+        Command::Run { op, src, big_r } => {
             if op == Op::SolveDelta {
-                return solve_delta(shared, me, token, conn, ctx, src, big_r, threads, body);
+                return solve_delta(shared, me, token, conn, ctx, src, big_r, body);
             }
             let resolved = match src {
                 Source::Hash(h) => shared.engine.fetch(h).map(|i| (h, i)),
@@ -1020,7 +1011,7 @@ fn execute_command(
                     return finalize_inline(shared, conn, ctx, Reply::Err(code, msg), false)
                 }
             };
-            let key = CacheKey::new(hash, op, big_r, threads);
+            let key = CacheKey::new(hash, op, big_r, 0);
             let probe = Instant::now();
             if let Some(body) = shared.engine.cached(&key) {
                 if let Some(rec) = &ctx.span {
@@ -1037,7 +1028,7 @@ fn execute_command(
             let label = format!("{} {} R={big_r}", op.tag(), hash_hex(hash));
             let span_rec = ctx.span.clone();
             submit_pooled(shared, me, token, conn, ctx, Some((key, op)), move || {
-                let (body, info) = engine::execute_traced(op, &inst, big_r, threads)
+                let (body, info) = engine::execute_traced(op, &inst, big_r)
                     .map_err(|msg| (ErrorCode::Internal, msg))?;
                 if let Some(i) = info {
                     metrics.observe_solve(&i);
@@ -1083,7 +1074,6 @@ fn solve_delta(
     ctx: RequestCtx,
     src: Source,
     big_r: usize,
-    threads: usize,
     body: Option<String>,
 ) {
     let revision = match src {
@@ -1101,7 +1091,7 @@ fn solve_delta(
             }
         }
     };
-    let key = CacheKey::new(revision, Op::SolveDelta, big_r, threads);
+    let key = CacheKey::new(revision, Op::SolveDelta, big_r, 0);
     let probe = Instant::now();
     if let Some(body) = shared.engine.cached(&key) {
         if let Some(rec) = &ctx.span {
@@ -1124,7 +1114,7 @@ fn solve_delta(
         ctx,
         Some((key, Op::SolveDelta)),
         move || {
-            let (body, info) = worker_shared.engine.solve_delta(revision, big_r, threads)?;
+            let (body, info) = worker_shared.engine.solve_delta(revision, big_r, 0)?;
             metrics.observe_delta(&info);
             if let Some(rec) = &span_rec {
                 // Zero-length marker naming the resolution path taken.

@@ -456,9 +456,6 @@ mod tests {
                     memo_hits: 4,
                     memo_misses: 2,
                     memo_skips: 1,
-                    workers: 1,
-                    chunks: 1,
-                    max_chunk_pulls: 1,
                 },
             },
         }

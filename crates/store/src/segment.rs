@@ -50,7 +50,9 @@ pub struct ResultKey {
     pub op: u8,
     /// Locality parameter (0 where irrelevant).
     pub big_r: u32,
-    /// Solver thread count (0/1 where irrelevant).
+    /// Solver thread count of older writers; the solver service now
+    /// writes 0 and ignores it when reading (a solve runs on one
+    /// thread). Kept so existing segments decode unchanged.
     pub threads: u32,
 }
 

@@ -64,7 +64,7 @@ fn main() {
     }
 
     // Certify the final state against a from-scratch solve.
-    let reference = solve_special(dynamic.special_form(), big_r, 1);
+    let reference = solve_special(dynamic.special_form(), big_r);
     let max_dev = dynamic
         .run()
         .x

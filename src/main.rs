@@ -1,13 +1,13 @@
 //! `maxmin-lp` — command-line interface to the local max-min LP solver.
 //!
 //! ```text
-//! maxmin-lp solve <instance.mmlp> [-R <R>] [--threads <n>] [--certify]
+//! maxmin-lp solve <instance.mmlp> [-R <R>] [--certify]
 //! maxmin-lp optimum <instance.mmlp>                      exact simplex
 //! maxmin-lp safe <instance.mmlp>                         factor-ΔI baseline
 //! maxmin-lp generate <family> <size> <seed> [--out <f>]  emit an instance
 //! maxmin-lp info <instance.mmlp>                         sizes, degrees, paper bound
 //! maxmin-lp obs [--file <f>] [--size <n>] [--seed <s>] [-R <R>]
-//!               [--threads <n>] [--slowest <n>]        phase timelines
+//!               [--slowest <n>]                        phase timelines
 //! maxmin-lp obs --addr <a>                             scrape + lint METRICS
 //! maxmin-lp obs trace <id> --journal <dir>             render a span tree
 //! maxmin-lp obs journal --journal <dir> [--tail <n>]   dump the event journal
@@ -55,11 +55,11 @@ use std::time::Duration;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  maxmin-lp solve <file> [-R <R>] [--threads <n>] [--certify]\n  \
+        "usage:\n  maxmin-lp solve <file> [-R <R>] [--certify]\n  \
          maxmin-lp optimum <file>\n  maxmin-lp safe <file>\n  \
          maxmin-lp generate <family> <size> <seed> [--out <file>]\n  \
          maxmin-lp info <file>\n  \
-         maxmin-lp obs [--file <f>] [--size <n>] [--seed <s>] [-R <R>] [--threads <n>] \
+         maxmin-lp obs [--file <f>] [--size <n>] [--seed <s>] [-R <R>] \
          [--slowest <n>] | --addr <a>\n  \
          maxmin-lp obs trace <id> --journal <dir>\n  \
          maxmin-lp obs journal --journal <dir> [--tail <n>]\n  \
@@ -126,7 +126,6 @@ fn run(cmd: &str, rest: &[String]) -> Result<(), UsageError> {
         "solve" => {
             let path = rest.first().ok_or(UsageError::Usage)?;
             let mut big_r = 3usize;
-            let mut threads = 4usize;
             let mut certify = false;
             let mut it = rest[1..].iter();
             while let Some(a) = it.next() {
@@ -138,23 +137,16 @@ fn run(cmd: &str, rest: &[String]) -> Result<(), UsageError> {
                             .filter(|r| *r >= 2)
                             .ok_or(UsageError::Usage)?;
                     }
-                    "--threads" => {
-                        threads = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .filter(|t| *t >= 1)
-                            .ok_or(UsageError::Usage)?;
-                    }
                     "--certify" => certify = true,
                     _ => return Err(UsageError::Usage),
                 }
             }
             let inst = load(path)?;
             let stats = DegreeStats::of(&inst);
-            let solver = LocalSolver::new(big_r).with_threads(threads);
+            let solver = LocalSolver::new(big_r);
             let out = solver.solve(&inst);
             let utility = out.solution.utility(&inst);
-            println!("# local solve R={big_r} threads={threads}");
+            println!("# local solve R={big_r}");
             println!("utility {utility}");
             println!(
                 "guarantee {}",
@@ -309,7 +301,6 @@ fn obs_cmd(rest: &[String]) -> Result<(), UsageError> {
     let mut size = 16usize;
     let mut seed = 0u64;
     let mut big_r = 3usize;
-    let mut threads = 1usize;
     let mut slowest = 8usize;
     let mut it = rest.iter();
     while let Some(a) = it.next() {
@@ -334,13 +325,6 @@ fn obs_cmd(rest: &[String]) -> Result<(), UsageError> {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .filter(|r| *r >= 2)
-                    .ok_or(UsageError::Usage)?;
-            }
-            "--threads" => {
-                threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|t| *t >= 1)
                     .ok_or(UsageError::Usage)?;
             }
             "--slowest" => {
@@ -384,7 +368,7 @@ fn obs_cmd(rest: &[String]) -> Result<(), UsageError> {
         let transformed = to_special_form(inst);
         let sf = SpecialForm::new(transformed.instance.clone())
             .map_err(|e| format!("{name}: special form: {e:?}"))?;
-        let (run, trace) = solve_distributed_flat_traced(&sf, big_r, threads);
+        let (run, trace) = solve_distributed_flat_traced(&sf, big_r);
         hits += trace.batch.memo_hits;
         misses += trace.batch.memo_misses;
         skips += trace.batch.memo_skips;
@@ -405,7 +389,7 @@ fn obs_cmd(rest: &[String]) -> Result<(), UsageError> {
         });
     }
     println!(
-        "# obs timeline R={big_r} threads={threads} ({} solve(s), slowest {})",
+        "# obs timeline R={big_r} ({} solve(s), slowest {})",
         workloads.len(),
         slowest.min(workloads.len())
     );

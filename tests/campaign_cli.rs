@@ -198,33 +198,6 @@ fn campaign_usage_and_error_paths() {
 }
 
 #[test]
-fn solve_accepts_threads_flag() {
-    let root = std::env::temp_dir().join(format!("mmlp-threads-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&root).unwrap();
-    let file = root.join("inst.mmlp");
-    std::fs::write(&file, run_ok(&["generate", "bandwidth", "20", "3"])).unwrap();
-
-    let one = run_ok(&["solve", file.to_str().unwrap(), "--threads", "1"]);
-    let four = run_ok(&["solve", file.to_str().unwrap(), "--threads", "4"]);
-    let get = |out: &str| -> String {
-        out.lines()
-            .find_map(|l| l.strip_prefix("utility "))
-            .unwrap()
-            .to_string()
-    };
-    assert_eq!(get(&one), get(&four), "threads must not change the output");
-    assert!(one.contains("threads=1") && four.contains("threads=4"));
-
-    // Invalid thread counts are usage errors.
-    let out = bin()
-        .args(["solve", file.to_str().unwrap(), "--threads", "0"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    std::fs::remove_dir_all(&root).ok();
-}
-
-#[test]
 fn info_prints_the_paper_bound() {
     let root = std::env::temp_dir().join(format!("mmlp-info-cli-{}", std::process::id()));
     std::fs::create_dir_all(&root).unwrap();

@@ -62,22 +62,14 @@ fn solve_delta_is_bit_identical_to_solve_of_the_revision() {
     // The incremental body equals a from-scratch SOLVE of the new
     // revision, byte for byte — and a repeat is a cache hit with the
     // same bytes.
-    let incr = c
-        .solve_delta_hash(&new_hex, 3, 2)
-        .unwrap()
-        .into_ok()
-        .unwrap();
+    let incr = c.solve_delta_hash(&new_hex, 3).unwrap().into_ok().unwrap();
     let scratch = c
-        .run_hash(Op::Solve, &new_hex, 3, 2)
+        .run_hash(Op::Solve, &new_hex, 3)
         .unwrap()
         .into_ok()
         .unwrap();
     assert_eq!(incr.as_bytes(), scratch.as_bytes());
-    let again = c
-        .solve_delta_hash(&new_hex, 3, 2)
-        .unwrap()
-        .into_ok()
-        .unwrap();
+    let again = c.solve_delta_hash(&new_hex, 3).unwrap().into_ok().unwrap();
     assert_eq!(incr.as_bytes(), again.as_bytes());
 
     let stats = c.stats().unwrap();
@@ -105,13 +97,13 @@ fn inline_delta_registers_and_solves_in_one_round_trip() {
     // hash of the same revision reuses the now-warm solver.
     let delta = bump(&base, 1, 0.75);
     let inline = c
-        .solve_delta_inline(&delta.to_text(), 3, 1)
+        .solve_delta_inline(&delta.to_text(), 3)
         .unwrap()
         .into_ok()
         .unwrap();
     let (_, _, new_hex) = c.put_delta(&delta.to_text()).unwrap().unwrap();
     let by_hash = c
-        .run_hash(Op::Solve, &new_hex, 3, 1)
+        .run_hash(Op::Solve, &new_hex, 3)
         .unwrap()
         .into_ok()
         .unwrap();
@@ -140,13 +132,9 @@ fn chained_edits_advance_one_parked_solver() {
         let delta = bump(&cur, i as u32, factor);
         cur = delta.apply(&cur).unwrap();
         let (_, _, new_hex) = c.put_delta(&delta.to_text()).unwrap().unwrap();
-        let incr = c
-            .solve_delta_hash(&new_hex, 3, 1)
-            .unwrap()
-            .into_ok()
-            .unwrap();
+        let incr = c.solve_delta_hash(&new_hex, 3).unwrap().into_ok().unwrap();
         let scratch = c
-            .run_hash(Op::Solve, &new_hex, 3, 1)
+            .run_hash(Op::Solve, &new_hex, 3)
             .unwrap()
             .into_ok()
             .unwrap();
@@ -179,7 +167,7 @@ fn delta_errors_are_typed_and_nonfatal() {
     let mut c = Client::connect(&addr).unwrap();
 
     // Unregistered revision.
-    match c.solve_delta_hash("0123456789abcdef", 3, 1).unwrap() {
+    match c.solve_delta_hash("0123456789abcdef", 3).unwrap() {
         ClientReply::Err(ErrorCode::NoBase, _) => {}
         other => panic!("expected NOBASE, got {other:?}"),
     }
@@ -214,13 +202,13 @@ fn delta_errors_are_typed_and_nonfatal() {
         },
     );
     let (_, _, new_hex) = c.put_delta(&breaking.to_text()).unwrap().unwrap();
-    match c.solve_delta_hash(&new_hex, 3, 1).unwrap() {
+    match c.solve_delta_hash(&new_hex, 3).unwrap() {
         ClientReply::Err(ErrorCode::BadDelta, msg) => {
             assert!(msg.contains("special form"), "should name the cause: {msg}")
         }
         other => panic!("expected BADDELTA, got {other:?}"),
     }
-    assert!(c.run_hash(Op::Solve, &new_hex, 3, 1).unwrap().is_ok());
+    assert!(c.run_hash(Op::Solve, &new_hex, 3).unwrap().is_ok());
 
     // The connection survived every error.
     assert_eq!(
@@ -285,41 +273,34 @@ fn restart_replays_lineage_from_segments() {
         c.put_delta(&d1.to_text()).unwrap().unwrap();
         let (_, _, new_hex) = c.put_delta(&d2.to_text()).unwrap().unwrap();
         head_hex = new_hex;
-        before = c
-            .solve_delta_hash(&head_hex, 3, 1)
-            .unwrap()
-            .into_ok()
-            .unwrap();
+        before = c.solve_delta_hash(&head_hex, 3).unwrap().into_ok().unwrap();
         c.shutdown().unwrap();
         assert_eq!(handle.join().unwrap().errors, 0);
     }
 
     // Second life on the same segments: the lineage graph is replayed
-    // at warm start. THREADS=2 keys past the persisted body, forcing a
+    // at warm start. R=4 keys past the persisted R=3 body, forcing a
     // real boot-and-replay from the stored base — the chain is
     // re-derived from segments, not from memory — and the result is
-    // still bit-identical (thread count never changes the bytes).
+    // still bit-identical to a SOLVE of the same revision.
     let (addr, handle) = spawn_server(store_cfg());
     let mut c = Client::connect(&addr).unwrap();
     let stats = c.stats().unwrap();
     assert_eq!(stat(&stats, "warm_lineage"), 2, "{stats:?}");
     assert_eq!(stat(&stats, "lineage_entries"), 2, "{stats:?}");
-    let after = c
-        .solve_delta_hash(&head_hex, 3, 2)
-        .unwrap()
-        .into_ok()
-        .unwrap();
-    assert_eq!(after.as_bytes(), before.as_bytes());
+    let after = c.solve_delta_hash(&head_hex, 4).unwrap().into_ok().unwrap();
     let stats = c.stats().unwrap();
     assert_eq!(stat(&stats, "delta_solves_booted"), 1, "{stats:?}");
     assert_eq!(stat(&stats, "delta_replayed"), 2, "whole chain replayed");
-    // The first life's cached body also survives, as a warm hit under
-    // SOLVE_DELTA's own namespace.
-    let hit = c
-        .solve_delta_hash(&head_hex, 3, 1)
+    let scratch = c
+        .run_hash(Op::Solve, &head_hex, 4)
         .unwrap()
         .into_ok()
         .unwrap();
+    assert_eq!(after.as_bytes(), scratch.as_bytes());
+    // The first life's cached body also survives, as a warm hit under
+    // SOLVE_DELTA's own namespace.
+    let hit = c.solve_delta_hash(&head_hex, 3).unwrap().into_ok().unwrap();
     assert_eq!(hit.as_bytes(), before.as_bytes());
     let stats = c.stats().unwrap();
     assert!(

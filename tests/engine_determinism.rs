@@ -1,15 +1,9 @@
-//! Determinism of the parallel round executor: the sharded multi-thread
-//! path must be **bit-identical** to the sequential one, including the
-//! degenerate `threads > n_nodes` configuration (every shard holds at
-//! most one node). The engine only takes its parallel path for
-//! networks of ≥ 256 nodes, so the instance here is sized to actually
-//! exercise it — the in-crate engine tests use smaller networks and
-//! silently fall back to the sequential loop.
+//! Determinism of the round executor: the same instance solved twice
+//! over the simulated network gives bit-identical outcomes.
 
-use maxmin_lp::core::distributed::{solve_distributed, DistMaxMin};
+use maxmin_lp::core::distributed::solve_distributed;
 use maxmin_lp::core::SpecialForm;
 use maxmin_lp::gen::special::{random_special_form, SpecialFormConfig};
-use maxmin_lp::net::{engine, Network};
 
 fn large_special_form(seed: u64) -> SpecialForm {
     let inst = random_special_form(
@@ -22,36 +16,6 @@ fn large_special_form(seed: u64) -> SpecialForm {
         seed,
     );
     SpecialForm::new(inst).expect("generator produces special form")
-}
-
-#[test]
-fn parallel_executor_is_bit_identical_for_extreme_thread_counts() {
-    let sf = large_special_form(9);
-    let net = Network::new(sf.instance());
-    let n = net.n_nodes();
-    assert!(
-        n >= 256,
-        "instance must be large enough to exercise the sharded parallel path, got {n} nodes"
-    );
-
-    let protocol = DistMaxMin::new(2);
-    let seq = engine::run(&net, &protocol);
-    // threads = 1 must take the sequential path; threads = n + 3 means
-    // more workers than nodes (each shard holds at most one node).
-    for threads in [1usize, n + 3] {
-        let par = engine::run_parallel(&net, &protocol, threads);
-        assert_eq!(par.stats, seq.stats, "threads = {threads}");
-        assert_eq!(par.states.len(), seq.states.len());
-        for (x, (a, b)) in par.states.iter().zip(&seq.states).enumerate() {
-            let bits = |v: Option<f64>| v.map(f64::to_bits);
-            assert_eq!(bits(a.x), bits(b.x), "node {x} output, threads = {threads}");
-            assert_eq!(
-                bits(a.t),
-                bits(b.t),
-                "node {x} tree bound, threads = {threads}"
-            );
-        }
-    }
 }
 
 #[test]

@@ -9,10 +9,9 @@
 //! 3. Non-tree topologies dedup: the arena footprint is strictly
 //!    smaller than the logical payload volume.
 
-use maxmin_lp::core::distributed::{
-    solve_distributed, solve_distributed_flat, t_batch_flat, FLAT_T_PARALLEL_MIN_WORK,
-};
+use maxmin_lp::core::distributed::{solve_distributed, solve_distributed_flat, t_batch_flat};
 use maxmin_lp::core::transform::to_special_form;
+use maxmin_lp::core::tree_bound::TreeBound;
 use maxmin_lp::core::SpecialForm;
 use maxmin_lp::gen::catalog;
 use maxmin_lp::net::{gather_views, gather_views_flat, Network, ViewArena};
@@ -31,7 +30,7 @@ fn flat_path_is_bitwise_identical_across_the_catalog() {
         let sf = special(&fam, 12, 1);
         for big_r in [2usize, 3, 4] {
             let legacy = solve_distributed(&sf, big_r);
-            let flat = solve_distributed_flat(&sf, big_r, 2);
+            let flat = solve_distributed_flat(&sf, big_r);
             for v in 0..sf.n_agents() {
                 assert_eq!(
                     flat.solution.as_slice()[v].to_bits(),
@@ -80,7 +79,7 @@ fn every_special_form_family_dedups_at_depth() {
     // must exceed the deduped arena footprint.
     for fam in catalog() {
         let sf = special(&fam, 14, 3);
-        let flat = solve_distributed_flat(&sf, 3, 1);
+        let flat = solve_distributed_flat(&sf, 3);
         assert!(
             flat.stats.dedup_ratio() > 1.0,
             "family {}: dedup ratio {}",
@@ -90,64 +89,14 @@ fn every_special_form_family_dedups_at_depth() {
     }
 }
 
-#[test]
-fn thread_counts_are_bit_identical_straddling_the_work_threshold() {
-    // One instance below and one above FLAT_T_PARALLEL_MIN_WORK, so the
-    // solve exercises both the scalar fallback and the capped-threaded
-    // decision; outputs must not depend on either.
-    use maxmin_lp::gen::special::{random_special_form, SpecialFormConfig};
-    let big_r = 4;
-    let depth = 4 * (big_r - 2) + 2;
-    let mut seen_below = false;
-    let mut seen_above = false;
-    for n_objectives in [12usize, 400] {
-        let sf = SpecialForm::new(random_special_form(
-            &SpecialFormConfig {
-                n_objectives,
-                ..SpecialFormConfig::default()
-            },
-            2,
-        ))
-        .unwrap();
-        let net = Network::new(sf.instance());
-        let fv = gather_views_flat(&net, depth);
-        let n = sf.n_agents();
-        let work: u64 = fv.roots[..n].iter().map(|&r| fv.arena.size(r)).sum();
-        seen_below |= work < FLAT_T_PARALLEL_MIN_WORK;
-        seen_above |= work >= FLAT_T_PARALLEL_MIN_WORK;
-        let reference = solve_distributed_flat(&sf, big_r, 1);
-        for threads in [2usize, 4, 8] {
-            let out = solve_distributed_flat(&sf, big_r, threads);
-            for v in 0..n {
-                assert_eq!(
-                    out.t[v].to_bits(),
-                    reference.t[v].to_bits(),
-                    "n_obj {n_objectives} threads {threads} agent {v}"
-                );
-                assert_eq!(
-                    out.solution.as_slice()[v].to_bits(),
-                    reference.solution.as_slice()[v].to_bits()
-                );
-            }
-        }
-    }
-    assert!(
-        seen_below && seen_above,
-        "workloads must straddle FLAT_T_PARALLEL_MIN_WORK = {FLAT_T_PARALLEL_MIN_WORK}"
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Flat-threaded `t` batches are bit-identical to the scalar batch
-    /// at every worker count, catalog-wide at R ∈ {2, 3, 4}. This calls
-    /// the uncapped [`t_batch_flat`] partitioner directly, so the
-    /// size-weighted parallel path genuinely runs even on hosts whose
-    /// available parallelism would make `solve_special_flat` fall back
-    /// to scalar.
+    /// The flat `t` batch over the arena roots is bit-identical to the
+    /// centralized [`TreeBound::all`] on the folded graph, catalog-wide
+    /// at R ∈ {2, 3, 4}.
     #[test]
-    fn threaded_t_batch_is_bit_identical_at_every_worker_count(
+    fn t_batch_is_bit_identical_to_tree_bound(
         size in 8usize..24,
         seed in 0u64..1_000,
     ) {
@@ -158,17 +107,15 @@ proptest! {
             for big_r in [2usize, 3, 4] {
                 let depth = 4 * (big_r - 2) + 2;
                 let fv = gather_views_flat(&net, depth);
-                let reference = t_batch_flat(&fv.arena, &fv.roots[..n], big_r, 1);
-                for workers in [2usize, 4, 8] {
-                    let out = t_batch_flat(&fv.arena, &fv.roots[..n], big_r, workers);
-                    for v in 0..n {
-                        prop_assert_eq!(
-                            out[v].to_bits(),
-                            reference[v].to_bits(),
-                            "family {} R {} workers {} agent {}",
-                            fam.name, big_r, workers, v
-                        );
-                    }
+                let flat = t_batch_flat(&fv.arena, &fv.roots[..n], big_r, 1);
+                let central = TreeBound::new(&sf, big_r).all();
+                for v in 0..n {
+                    prop_assert_eq!(
+                        flat[v].to_bits(),
+                        central[v].to_bits(),
+                        "family {} R {} agent {}",
+                        fam.name, big_r, v
+                    );
                 }
             }
         }

@@ -3,6 +3,9 @@
 //! deterministic `BUSY` backpressure under a saturated queue, per-
 //! request timeouts, and clean `SHUTDOWN` drain of in-flight work.
 
+use maxmin_lp::instance::delta::{Delta, Edit, RowKind};
+use maxmin_lp::instance::hash::instance_hash;
+use maxmin_lp::instance::ids::ConstraintId;
 use maxmin_lp::instance::textfmt;
 use maxmin_lp::serve::client::{stat, Client, ClientReply};
 use maxmin_lp::serve::protocol::{ErrorCode, Op};
@@ -36,8 +39,8 @@ fn cache_hits_are_bit_identical_to_cold_solves() {
     let hash = c.put(&text).unwrap().unwrap();
 
     for op in [Op::Solve, Op::Optimum, Op::Safe, Op::Info] {
-        let cold = c.run_hash(op, &hash, 3, 1).unwrap().into_ok().unwrap();
-        let warm = c.run_hash(op, &hash, 3, 1).unwrap().into_ok().unwrap();
+        let cold = c.run_hash(op, &hash, 3).unwrap().into_ok().unwrap();
+        let warm = c.run_hash(op, &hash, 3).unwrap().into_ok().unwrap();
         assert_eq!(
             cold.as_bytes(),
             warm.as_bytes(),
@@ -45,7 +48,7 @@ fn cache_hits_are_bit_identical_to_cold_solves() {
         );
         // Inline requests for the same content share the cache entry
         // and the bytes.
-        let inline = c.run_inline(op, &text, 3, 1).unwrap().into_ok().unwrap();
+        let inline = c.run_inline(op, &text, 3).unwrap().into_ok().unwrap();
         assert_eq!(cold.as_bytes(), inline.as_bytes(), "{op:?} inline");
     }
 
@@ -85,8 +88,8 @@ fn eight_concurrent_clients_get_identical_bytes() {
                 let mut out = Vec::new();
                 for _ in 0..12 {
                     let reply = match &hash {
-                        Some(h) => c.run_hash(Op::Solve, h, 3, 1).unwrap(),
-                        None => c.run_inline(Op::Solve, &text, 3, 1).unwrap(),
+                        Some(h) => c.run_hash(Op::Solve, h, 3).unwrap(),
+                        None => c.run_inline(Op::Solve, &text, 3).unwrap(),
                     };
                     out.push(reply.into_ok().expect("solve failed"));
                 }
@@ -144,7 +147,7 @@ fn saturated_queue_replies_busy_and_recovers() {
     // Saturated: a solve must bounce, not block or queue unboundedly.
     let mut c = Client::connect(&addr).unwrap();
     let text = instance_text();
-    let reply = c.run_inline(Op::Solve, &text, 3, 1).unwrap();
+    let reply = c.run_inline(Op::Solve, &text, 3).unwrap();
     match reply {
         ClientReply::Err(ErrorCode::Busy, _) => {}
         other => panic!("expected BUSY, got {other:?}"),
@@ -153,7 +156,7 @@ fn saturated_queue_replies_busy_and_recovers() {
     // Both sleepers still complete; the server recovers.
     assert!(s1.join().unwrap().is_ok());
     assert!(s2.join().unwrap().is_ok());
-    let ok = c.run_inline(Op::Solve, &text, 3, 1).unwrap();
+    let ok = c.run_inline(Op::Solve, &text, 3).unwrap();
     assert!(ok.is_ok(), "server must serve again after the spike");
 
     c.shutdown().unwrap();
@@ -176,7 +179,7 @@ fn per_request_timeout_kills_slow_work_not_the_server() {
     }
     // The same connection keeps working.
     let text = instance_text();
-    assert!(c.run_inline(Op::Info, &text, 3, 1).unwrap().is_ok());
+    assert!(c.run_inline(Op::Info, &text, 3).unwrap().is_ok());
     c.shutdown().unwrap();
     let summary = handle.join().unwrap();
     assert_eq!(summary.timeouts, 1);
@@ -229,12 +232,12 @@ fn protocol_errors_are_typed_and_nonfatal() {
         other => panic!("{other:?}"),
     }
     // Unknown hash.
-    match c.run_hash(Op::Solve, "0123456789abcdef", 3, 1).unwrap() {
+    match c.run_hash(Op::Solve, "0123456789abcdef", 3).unwrap() {
         ClientReply::Err(ErrorCode::NotFound, _) => {}
         other => panic!("{other:?}"),
     }
     // Garbage body.
-    match c.run_inline(Op::Solve, "not an instance", 3, 1).unwrap() {
+    match c.run_inline(Op::Solve, "not an instance", 3).unwrap() {
         ClientReply::Err(ErrorCode::BadReq, _) => {}
         other => panic!("{other:?}"),
     }
@@ -244,15 +247,11 @@ fn protocol_errors_are_typed_and_nonfatal() {
         "pong\n"
     );
 
-    // An absurd THREADS= is clamped server-side, not obeyed: the reply
-    // still arrives and matches the single-threaded bytes.
+    // An absurd THREADS= is accepted and ignored: the reply matches
+    // the bytes of a request without it.
     let text = instance_text();
     let hash = c.put(&text).unwrap().unwrap();
-    let normal = c
-        .run_hash(Op::Solve, &hash, 3, 1)
-        .unwrap()
-        .into_ok()
-        .unwrap();
+    let normal = c.run_hash(Op::Solve, &hash, 3).unwrap().into_ok().unwrap();
     let huge = c
         .request(&format!("SOLVE hash:{hash} R=3 THREADS=999999"), None)
         .unwrap()
@@ -271,6 +270,89 @@ fn protocol_errors_are_typed_and_nonfatal() {
         big.request("PING", None).is_err(),
         "connection must be closed after an unsynchronising request"
     );
+
+    c.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// A solve runs on one thread, so `THREADS=` from older clients is
+/// validated and then ignored: it never splits a result key, and a
+/// `SOLVE_DELTA` repeat under another thread count boots no solver.
+#[test]
+fn results_do_not_depend_on_threads() {
+    let (addr, handle) = spawn_server(ServeConfig::default());
+    let mut c = Client::connect(&addr).unwrap();
+    let hash = c.put(&instance_text()).unwrap().unwrap();
+    let one = c
+        .request(&format!("SOLVE hash:{hash} R=3 THREADS=1"), None)
+        .unwrap()
+        .into_ok()
+        .unwrap();
+    let before = c.stats().unwrap();
+    let four = c
+        .request(&format!("SOLVE hash:{hash} R=3 THREADS=4"), None)
+        .unwrap()
+        .into_ok()
+        .unwrap();
+    let plain = c
+        .request(&format!("SOLVE hash:{hash} R=3"), None)
+        .unwrap()
+        .into_ok()
+        .unwrap();
+    let after = c.stats().unwrap();
+    assert_eq!(one.as_bytes(), four.as_bytes());
+    assert_eq!(one.as_bytes(), plain.as_bytes());
+    let delta = |key: &str| stat(&after, key) - stat(&before, key);
+    assert_eq!(delta("cache_hits"), 2, "{after:?}");
+    assert_eq!(delta("cache_misses"), 0, "{after:?}");
+
+    // SOLVE_DELTA on one revision: the THREADS=4 repeat is served from
+    // what the THREADS=1 request left behind.
+    let fam = maxmin_lp::gen::catalog();
+    let fam = fam.iter().find(|f| f.name == "special-form").unwrap();
+    let base = fam.instance(18, 2);
+    c.put(&textfmt::write_instance(&base)).unwrap().unwrap();
+    let e = base.constraint_row(ConstraintId::new(0))[0];
+    let edit = Delta::single(
+        instance_hash(&base),
+        Edit::SetCoef {
+            row: RowKind::Constraint,
+            row_id: 0,
+            agent: e.agent,
+            coef: e.coef * 1.5,
+        },
+    );
+    let (_, _, rev) = c.put_delta(&edit.to_text()).unwrap().unwrap();
+    let first = c
+        .request(&format!("SOLVE_DELTA hash:{rev} R=3 THREADS=1"), None)
+        .unwrap()
+        .into_ok()
+        .unwrap();
+    let before = c.stats().unwrap();
+    let second = c
+        .request(&format!("SOLVE_DELTA hash:{rev} R=3 THREADS=4"), None)
+        .unwrap()
+        .into_ok()
+        .unwrap();
+    let after = c.stats().unwrap();
+    assert_eq!(first.as_bytes(), second.as_bytes());
+    let delta = |key: &str| stat(&after, key) - stat(&before, key);
+    assert_eq!(delta("cache_hits"), 1, "{after:?}");
+    assert_eq!(delta("delta_solves_booted"), 0, "{after:?}");
+    assert_eq!(delta("delta_solves_advanced"), 0, "{after:?}");
+
+    // Out-of-range thread counts are still rejected.
+    for bad in ["0", "4294967296"] {
+        match c
+            .request(&format!("SOLVE hash:{hash} R=3 THREADS={bad}"), None)
+            .unwrap()
+        {
+            ClientReply::Err(ErrorCode::BadReq, msg) => {
+                assert!(msg.contains("bad THREADS"), "{msg}")
+            }
+            other => panic!("THREADS={bad}: {other:?}"),
+        }
+    }
 
     c.shutdown().unwrap();
     handle.join().unwrap();

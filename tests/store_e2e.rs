@@ -4,10 +4,13 @@
 //! after the restart.
 
 use maxmin_lp::gen::catalog;
+use maxmin_lp::instance::hash::hash_hex;
 use maxmin_lp::instance::textfmt;
 use maxmin_lp::serve::client::{stat, Client};
+use maxmin_lp::serve::engine::execute;
 use maxmin_lp::serve::protocol::Op;
 use maxmin_lp::serve::server::{ServeConfig, Server};
+use maxmin_lp::store::{ResultKey, Store};
 use std::io::{BufRead, BufReader, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -46,13 +49,9 @@ fn clean_restart_warm_starts_bit_identically() {
     let handle = std::thread::spawn(move || server.run().expect("run 1"));
     let mut c = Client::connect(&addr).unwrap();
     let hash = c.put(&text).unwrap().unwrap();
-    let solve1 = c
-        .run_hash(Op::Solve, &hash, 3, 1)
-        .unwrap()
-        .into_ok()
-        .unwrap();
+    let solve1 = c.run_hash(Op::Solve, &hash, 3).unwrap().into_ok().unwrap();
     let opt1 = c
-        .run_hash(Op::Optimum, &hash, 3, 1)
+        .run_hash(Op::Optimum, &hash, 3)
         .unwrap()
         .into_ok()
         .unwrap();
@@ -66,13 +65,9 @@ fn clean_restart_warm_starts_bit_identically() {
     let addr = server.local_addr().to_string();
     let handle = std::thread::spawn(move || server.run().expect("run 2"));
     let mut c = Client::connect(&addr).unwrap();
-    let solve2 = c
-        .run_hash(Op::Solve, &hash, 3, 1)
-        .unwrap()
-        .into_ok()
-        .unwrap();
+    let solve2 = c.run_hash(Op::Solve, &hash, 3).unwrap().into_ok().unwrap();
     let opt2 = c
-        .run_hash(Op::Optimum, &hash, 3, 1)
+        .run_hash(Op::Optimum, &hash, 3)
         .unwrap()
         .into_ok()
         .unwrap();
@@ -88,6 +83,53 @@ fn clean_restart_warm_starts_bit_identically() {
     c.shutdown().unwrap();
     let summary = handle.join().unwrap();
     assert_eq!(summary.cache_misses, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Servers that keyed results by thread count wrote `threads ≠ 0`
+/// records. A restarted server loads them under the thread-free key,
+/// so a request naming any thread count hits.
+#[test]
+fn records_keyed_by_thread_count_warm_start_as_hits() {
+    let dir = temp_dir("threads");
+    let text = instance_text();
+    let inst = textfmt::parse_instance(&text).unwrap();
+    let body = execute(Op::Solve, &inst, 3, 1).unwrap();
+    let hash;
+    {
+        let (store, _) = Store::open(&dir).unwrap();
+        let h = store.put_instance(&inst).unwrap();
+        let key = ResultKey {
+            instance: h,
+            op: Op::Solve.code(),
+            big_r: 3,
+            threads: 1,
+        };
+        store.put_result(key, &body).unwrap();
+        hash = hash_hex(h);
+    }
+
+    let server = Server::bind(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        store_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().to_string();
+    let handle = std::thread::spawn(move || server.run().expect("run"));
+    let mut c = Client::connect(&addr).unwrap();
+    let warm = c
+        .request(&format!("SOLVE hash:{hash} R=3 THREADS=4"), None)
+        .unwrap()
+        .into_ok()
+        .unwrap();
+    assert_eq!(warm.as_bytes(), body.as_bytes());
+    let stats = c.stats().unwrap();
+    assert_eq!(stat(&stats, "warm_results"), 1, "{stats:?}");
+    assert_eq!(stat(&stats, "cache_hits"), 1, "{stats:?}");
+    assert_eq!(stat(&stats, "cache_misses"), 0, "{stats:?}");
+    c.shutdown().unwrap();
+    handle.join().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -133,13 +175,9 @@ fn kill_nine_mid_load_then_restart_serves_warm_bit_identical_replies() {
     let text = instance_text();
     let mut c = Client::connect(&addr).unwrap();
     let hash = c.put(&text).unwrap().unwrap();
-    let cold_solve = c
-        .run_hash(Op::Solve, &hash, 3, 1)
-        .unwrap()
-        .into_ok()
-        .unwrap();
+    let cold_solve = c.run_hash(Op::Solve, &hash, 3).unwrap().into_ok().unwrap();
     let cold_opt = c
-        .run_hash(Op::Optimum, &hash, 3, 1)
+        .run_hash(Op::Optimum, &hash, 3)
         .unwrap()
         .into_ok()
         .unwrap();
@@ -154,7 +192,7 @@ fn kill_nine_mid_load_then_restart_serves_warm_bit_identical_replies() {
             return;
         };
         for big_r in 2..2000usize {
-            if c.run_hash(Op::Solve, &load_hash, big_r, 1).is_err() {
+            if c.run_hash(Op::Solve, &load_hash, big_r).is_err() {
                 return; // the kill landed
             }
         }
@@ -187,13 +225,9 @@ fn kill_nine_mid_load_then_restart_serves_warm_bit_identical_replies() {
     // PUT, and the two known replies are warm hits, byte-identical.
     let (mut child, addr) = spawn_server_process(&dir);
     let mut c = Client::connect(&addr).unwrap();
-    let warm_solve = c
-        .run_hash(Op::Solve, &hash, 3, 1)
-        .unwrap()
-        .into_ok()
-        .unwrap();
+    let warm_solve = c.run_hash(Op::Solve, &hash, 3).unwrap().into_ok().unwrap();
     let warm_opt = c
-        .run_hash(Op::Optimum, &hash, 3, 1)
+        .run_hash(Op::Optimum, &hash, 3)
         .unwrap()
         .into_ok()
         .unwrap();
