@@ -3,7 +3,7 @@
 //!
 //! For each `(R, size)` the bench pairs an incremental repair
 //! (`edit-rR/size` — [`DynamicSolver::update_constraint_coefs`]
-//! toggling one constraint coefficient, arena and memo warm) with a
+//! toggling one constraint coefficient on a solver booted once) with a
 //! from-scratch solve of the same special form (`scratch-rR/size`).
 //! Two claims, both gated by `trajectory_gate` on the committed
 //! `BENCH_delta.json`:

@@ -344,25 +344,12 @@ impl FlatScratch {
     /// Lays the tables out for `arena` with `levels` memo levels per
     /// subtree (no-op when already laid out for exactly this arena and
     /// stride).
-    ///
-    /// When the **same** arena merely grew since the last layout — the
-    /// dynamic solver's steady state, where each delta hash-conses a few
-    /// ball-local subtrees into a persistent arena — the tables are
-    /// *extended* for the new ids only, in O(new ids) instead of the
-    /// O(arena) full re-layout. Interned nodes are immutable, so the
-    /// existing caps, slot assignments and live memo generations all stay
-    /// valid; fresh slots carry generation 0, which is stale by
-    /// construction (probes only trust the current generation, which a
-    /// [`FlatScratch::clear`] has always bumped past 0).
     fn prepare(&mut self, arena: &ViewArena, levels: usize) {
-        if self.arena_token == arena.token() && self.levels == levels {
-            if self.arena_len == arena.len() {
-                return;
-            }
-            if self.arena_len > 0 && self.arena_len < arena.len() {
-                self.extend(arena);
-                return;
-            }
+        if self.arena_token == arena.token()
+            && self.levels == levels
+            && self.arena_len == arena.len()
+        {
+            return;
         }
         let n = arena.len();
         self.arena_token = arena.token();
@@ -394,50 +381,6 @@ impl FlatScratch {
         }
         self.fp = vec![MemoSlot::default(); slots as usize];
         self.fm = vec![MemoSlot::default(); slots as usize];
-    }
-
-    /// Appends layout for ids interned since the last
-    /// [`FlatScratch::prepare`] of the same arena.
-    fn extend(&mut self, arena: &ViewArena) {
-        let mut slots = self.fp.len() as u32;
-        for id in self.arena_len as ViewId..arena.len() as ViewId {
-            self.caps.push(if arena.kind(id) == NodeKind::Agent {
-                mmlp_net::lanes::min_recip_where(
-                    arena.port_kinds(id),
-                    arena.coefs(id),
-                    NodeKind::Constraint,
-                )
-            } else {
-                f64::NAN
-            });
-            self.memo_base.push(if arena.size(id) >= MEMO_MIN_SUBTREE {
-                let base = slots;
-                slots += self.levels as u32;
-                base
-            } else {
-                MEMO_SKIP
-            });
-        }
-        self.fp.resize(slots as usize, MemoSlot::default());
-        self.fm.resize(slots as usize, MemoSlot::default());
-        self.arena_len = arena.len();
-    }
-
-    /// Live memo probes answered from the tables over this layout's
-    /// lifetime.
-    pub fn memo_hits(&self) -> u64 {
-        self.memo_hits
-    }
-
-    /// Memo probes that missed (stale or never-stamped) and recomputed.
-    pub fn memo_misses(&self) -> u64 {
-        self.memo_misses
-    }
-
-    /// Evaluations that bypassed the memo (small subtree or the level-0
-    /// precomputed-capacity path).
-    pub fn memo_skips(&self) -> u64 {
-        self.memo_skips
     }
 
     /// Starts a new ω probe: previous entries become stale in O(1).

@@ -15,34 +15,30 @@
 //! | `g±`, `x_v` | `+ 2(r+1) + 2` more | the depth-`r` recursion reads `s` two hops per level |
 //!
 //! Everything is repaired **in place** — the instance CSR, the
-//! special-form partner tables, the interner's network and the solution
-//! state all mutate without O(n) rebuilds — so one update costs
+//! special-form partner tables and the solution state all mutate
+//! without O(n) rebuilds — so one update costs
 //! O(Δ^O(R)), *constant in the network size*, which is what the
 //! `delta_solve` bench gates on.
 //!
 //! The recomputed state is **bit-identical** to a from-scratch solve
 //! (asserted across the generator catalogue in tests).
 //!
-//! Views of dirty agents are re-interned into a persistent hash-consed
-//! [`ViewArena`]: subtrees untouched by the edit re-intern to their
-//! existing ids (no allocation), the generation-stamped
-//! [`FlatScratch`] memo extends in O(new ids), and [`UpdateReport`]
-//! carries the arena-reuse counters so callers can observe the §1.3
-//! locality claim directly.
+//! Each dirty `t_u` is recomputed with [`TreeBound::t`] on the current
+//! special form — the kernel [`solve_special`] runs — so a retained
+//! solver holds only the `O(n·R)` solution state and never grows with
+//! the number of revisions it has seen.
 //!
 //! Structural edits (edge/agent/row changes, from
 //! [`mmlp_instance::delta`]) are handled by [`DynamicSolver::apply_delta`]
 //! with a from-scratch re-solve — the paper's dynamic model covers
 //! coefficient changes; structure changes re-validate the special form
-//! and rebuild, still reusing the arena.
+//! and rebuild.
 
-use crate::distributed::{t_from_arena, FlatScratch};
 use crate::smoothing::{solve_special, SpecialRun};
 use crate::special::{SpecialForm, SpecialFormError};
-use crate::unfold::ViewInterner;
+use crate::tree_bound::{Scratch, TreeBound};
 use mmlp_instance::delta::{Delta, DeltaError, Edit, RowKind};
-use mmlp_instance::{instance_hash, AgentId, CommGraph, ConstraintId, Node};
-use mmlp_net::{ViewArena, ViewId};
+use mmlp_instance::{instance_hash, AgentId, CommGraph, ConstraintId};
 
 /// Incremental maintainer of a special-form solution under edits.
 pub struct DynamicSolver {
@@ -50,16 +46,6 @@ pub struct DynamicSolver {
     graph: CommGraph,
     big_r: usize,
     run: SpecialRun,
-    /// Persistent hash-consed store of every view interned so far, across
-    /// all revisions — unchanged subtrees re-intern to existing ids.
-    arena: ViewArena,
-    /// Ball-local view builder bound to the *current* revision's network.
-    interner: ViewInterner,
-    /// Persistent flat evaluator tables; extended (not rebuilt) as the
-    /// arena grows.
-    scratch: FlatScratch,
-    /// Current interned root view per agent.
-    roots: Vec<ViewId>,
     /// BFS buffers (dirty-ball marking / smoothing balls), reused across
     /// updates so an update allocates nothing O(n).
     dist: Vec<u32>,
@@ -77,14 +63,6 @@ pub struct UpdateReport {
     pub recomputed_s: usize,
     /// Agents whose `g±`/output was recomputed.
     pub recomputed_x: usize,
-    /// Interned nodes in the persistent arena before the update.
-    pub arena_before: usize,
-    /// Interned nodes the update added — the subtrees actually changed
-    /// by the edit; everything else hash-consed to existing ids.
-    pub arena_added: usize,
-    /// Re-interned dirty roots that resolved to their previous id (the
-    /// agent's whole view was outside the edit's reach).
-    pub roots_reused: usize,
 }
 
 /// Why a delta could not be applied to a [`DynamicSolver`].
@@ -119,9 +97,7 @@ impl From<DeltaError> for DynamicError {
 }
 
 impl DynamicSolver {
-    /// Solves from scratch and retains the state (plus the interned
-    /// views of every agent, so the first update already reuses the
-    /// arena).
+    /// Solves from scratch and retains the state.
     ///
     /// `_threads` is ignored: every solve runs on one thread, and the
     /// argument stays so existing callers compile unchanged.
@@ -129,24 +105,12 @@ impl DynamicSolver {
         assert!(big_r >= 2);
         let run = solve_special(&sf, big_r);
         let graph = CommGraph::new(sf.instance());
-        let mut arena = ViewArena::new();
-        let mut interner = ViewInterner::new(sf.instance());
-        let depth = 4 * (big_r - 2) + 2;
-        let roots: Vec<ViewId> = sf
-            .instance()
-            .agents()
-            .map(|v| interner.intern(&mut arena, Node::Agent(v), depth))
-            .collect();
         let n_nodes = graph.n_nodes();
         DynamicSolver {
             sf,
             graph,
             big_r,
             run,
-            arena,
-            interner,
-            scratch: FlatScratch::default(),
-            roots,
             dist: vec![u32::MAX; n_nodes],
             dist_queue: Vec::new(),
             ball: vec![u32::MAX; n_nodes],
@@ -169,19 +133,9 @@ impl DynamicSolver {
         self.big_r
     }
 
-    /// Interned nodes currently held by the persistent arena.
+    /// Always 0: the solver interns no views; kept for existing callers.
     pub fn arena_len(&self) -> usize {
-        self.arena.len()
-    }
-
-    /// Flat-evaluator memo counters `(hits, misses, skips)` accumulated
-    /// by incremental `t` repairs since construction.
-    pub fn memo_stats(&self) -> (u64, u64, u64) {
-        (
-            self.scratch.memo_hits(),
-            self.scratch.memo_misses(),
-            self.scratch.memo_skips(),
-        )
+        0
     }
 
     /// Applies a content-addressed [`Delta`] to the maintained instance.
@@ -255,7 +209,7 @@ impl DynamicSolver {
                 return Err(DeltaError::BadCoefficient { value: *coef }.into());
             }
         }
-        let mut total: Option<UpdateReport> = None;
+        let mut total = UpdateReport::default();
         for e in &delta.edits {
             let Edit::SetCoef {
                 row_id,
@@ -275,22 +229,11 @@ impl DynamicSolver {
                 .expect("validated above");
             new_coefs[slot] = *coef;
             let rep = self.repair_coef_edit(i, new_coefs);
-            total = Some(match total {
-                None => rep,
-                Some(t) => UpdateReport {
-                    recomputed_t: t.recomputed_t + rep.recomputed_t,
-                    recomputed_s: t.recomputed_s + rep.recomputed_s,
-                    recomputed_x: t.recomputed_x + rep.recomputed_x,
-                    arena_before: t.arena_before,
-                    arena_added: t.arena_added + rep.arena_added,
-                    roots_reused: t.roots_reused + rep.roots_reused,
-                },
-            });
+            total.recomputed_t += rep.recomputed_t;
+            total.recomputed_s += rep.recomputed_s;
+            total.recomputed_x += rep.recomputed_x;
         }
-        Ok(total.unwrap_or(UpdateReport {
-            arena_before: self.arena.len(),
-            ..UpdateReport::default()
-        }))
+        Ok(total)
     }
 
     /// Replaces the two coefficients of constraint `i` (the constraint
@@ -311,7 +254,6 @@ impl DynamicSolver {
     /// and finite.
     fn repair_coef_edit(&mut self, i: ConstraintId, new_coefs: [f64; 2]) -> UpdateReport {
         let r = self.big_r - 2;
-        let depth = 4 * r + 2;
         // Invalidation radii around the edited constraint node (see the
         // module table).
         let r_t = (4 * r + 3) as u32;
@@ -326,37 +268,19 @@ impl DynamicSolver {
             .bfs_into(src, r_x, &mut self.dist, &mut self.dist_queue);
 
         // Mutate the maintained inputs in place: instance CSR + partner
-        // tables (special form) and the interner's agent-known ports.
-        let edited = {
-            let row = self.sf.instance().constraint_row(i);
-            [row[0].agent, row[1].agent]
-        };
+        // tables (special form).
         self.sf.set_constraint_coefs(i, new_coefs);
-        self.interner
-            .set_constraint_coef(i, edited[0], new_coefs[0]);
-        self.interner
-            .set_constraint_coef(i, edited[1], new_coefs[1]);
 
-        // t: re-intern each dirty agent's view — subtrees the edit cannot
-        // reach hash-cons straight back to their existing ids — and
-        // re-evaluate from the arena with the persistent memo tables.
-        let arena_before = self.arena.len();
+        // t: re-evaluate each dirty agent's bound on the edited form.
+        let tb = TreeBound::new(&self.sf, self.big_r);
+        let mut sc = Scratch::default();
         let mut recomputed_t = 0;
-        let mut roots_reused = 0;
         for v in self.sf.instance().agents() {
             if self.dist[v.idx()] <= r_t {
-                let root = self.interner.intern(&mut self.arena, Node::Agent(v), depth);
-                if root == self.roots[v.idx()] {
-                    roots_reused += 1;
-                } else {
-                    self.roots[v.idx()] = root;
-                }
-                self.run.t[v.idx()] =
-                    t_from_arena(&self.arena, root, self.big_r, &mut self.scratch);
+                self.run.t[v.idx()] = tb.t(v, &mut sc);
                 recomputed_t += 1;
             }
         }
-        let arena_added = self.arena.len() - arena_before;
 
         // s_v = min t over the radius-(4r+2) ball, for v near the edit.
         let mut recomputed_s = 0;
@@ -434,48 +358,18 @@ impl DynamicSolver {
             recomputed_t,
             recomputed_s,
             recomputed_x: dirty.len(),
-            arena_before,
-            arena_added,
-            roots_reused,
         }
     }
 
-    /// Structural fallback: adopt `sf` as the new revision, re-solve from
-    /// scratch, and re-intern every agent view into the persistent arena
-    /// (unchanged regions still hash-cons to their old ids).
+    /// Structural fallback: adopt `sf` as the new revision and re-solve
+    /// from scratch.
     fn rebuild(&mut self, sf: SpecialForm) -> UpdateReport {
-        let run = solve_special(&sf, self.big_r);
-        let graph = CommGraph::new(sf.instance());
-        let mut interner = ViewInterner::new(sf.instance());
-        let depth = 4 * (self.big_r - 2) + 2;
-        let arena_before = self.arena.len();
         let n = sf.n_agents();
-        let mut roots = Vec::with_capacity(n);
-        let mut roots_reused = 0;
-        for v in sf.instance().agents() {
-            let root = interner.intern(&mut self.arena, Node::Agent(v), depth);
-            if self.roots.get(v.idx()) == Some(&root) {
-                roots_reused += 1;
-            }
-            roots.push(root);
-        }
-        let n_nodes = graph.n_nodes();
-        self.sf = sf;
-        self.graph = graph;
-        self.run = run;
-        self.interner = interner;
-        self.roots = roots;
-        self.dist = vec![u32::MAX; n_nodes];
-        self.dist_queue = Vec::new();
-        self.ball = vec![u32::MAX; n_nodes];
-        self.ball_queue = Vec::new();
+        *self = DynamicSolver::new(sf, self.big_r, 1);
         UpdateReport {
             recomputed_t: n,
             recomputed_s: n,
             recomputed_x: n,
-            arena_before,
-            arena_added: self.arena.len() - arena_before,
-            roots_reused,
         }
     }
 
@@ -553,8 +447,7 @@ mod tests {
     #[test]
     fn update_work_is_constant_in_network_size() {
         // On a cycle the horizon ball has constant size, so the work per
-        // update — including what the arena had to grow by — must not
-        // grow with the cycle length.
+        // update must not grow with the cycle length.
         let mut reports = Vec::new();
         for n_obj in [32, 128] {
             let sf = SpecialForm::new(cycle_special(n_obj, 1.0)).unwrap();
@@ -567,26 +460,6 @@ mod tests {
             "update work must be independent of n on the cycle"
         );
         assert!(reports[0].recomputed_x < 64, "a constant-size ball");
-        assert!(
-            reports[0].arena_added > 0,
-            "an edit must intern some changed subtree"
-        );
-    }
-
-    #[test]
-    fn arena_reuse_shows_up_in_reports() {
-        let sf = fixture(40, 2);
-        let mut dynamic = DynamicSolver::new(sf, 3, 1);
-        let first = dynamic.update_constraint_coefs(ConstraintId::new(5), [1.5, 1.5]);
-        assert!(first.arena_before > 0, "construction interned all views");
-        // Re-apply the identical coefficients: every dirty subtree was
-        // already interned by the previous update, so the arena must not
-        // grow at all.
-        let again = dynamic.update_constraint_coefs(ConstraintId::new(5), [1.5, 1.5]);
-        assert_eq!(again.arena_added, 0, "identical revision re-interns fully");
-        assert_eq!(again.arena_before, first.arena_before + first.arena_added);
-        let (hits, misses, _) = dynamic.memo_stats();
-        assert!(hits + misses > 0, "t repairs went through the flat memo");
     }
 
     #[test]

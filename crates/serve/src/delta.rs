@@ -18,6 +18,9 @@
 //!    persisted through `mmlp-store`, so the chain replays from
 //!    segments.
 //!
+//! A parked solver holds only its revision's `O(n·R)` solution state,
+//! so its budgeted cost stays the same however far its chain advances.
+//!
 //! In every case the rendered body is **bit-identical** to a `SOLVE` of
 //! the same revision: the dynamic solver's state is bitwise equal to a
 //! from-scratch solve (asserted catalogue-wide in `mmlp-core`), and on
@@ -26,7 +29,7 @@
 
 use crate::cache::Lru;
 use crate::protocol::ErrorCode;
-use mmlp_core::dynamic::{DynamicSolver, UpdateReport};
+use mmlp_core::dynamic::DynamicSolver;
 use mmlp_core::special::SpecialForm;
 use mmlp_instance::delta::Delta;
 use mmlp_instance::hash::hash_hex;
@@ -90,10 +93,6 @@ pub struct DeltaSolveInfo {
     pub replayed: u64,
     /// Agents whose output the replays recomputed (the dirty balls).
     pub recomputed_x: u64,
-    /// View-arena nodes the replays added (changed subtrees only).
-    pub arena_added: u64,
-    /// Dirty roots that re-interned to their previous id.
-    pub roots_reused: u64,
     /// Agents in the revision (denominator for the dirty fraction).
     pub n_agents: u64,
 }
@@ -160,8 +159,6 @@ impl DeltaCoordinator {
                 mode: DeltaMode::Warm,
                 replayed: 0,
                 recomputed_x: 0,
-                arena_added: 0,
-                roots_reused: 0,
                 n_agents: solver.special_form().n_agents() as u64,
             };
             return Ok((render_solve_body(solver), info));
@@ -229,7 +226,7 @@ impl DeltaCoordinator {
         };
 
         // Replay oldest-first up to the requested revision.
-        let mut totals = UpdateReport::default();
+        let mut recomputed_x = 0;
         let replayed = pending.len() as u64;
         while let Some(text) = pending.pop() {
             let delta = Delta::parse_text(&text).map_err(|e| {
@@ -244,20 +241,14 @@ impl DeltaCoordinator {
                     format!("lineage replay toward {}: {e}", hash_hex(revision)),
                 )
             })?;
-            totals.recomputed_t += rep.recomputed_t;
-            totals.recomputed_s += rep.recomputed_s;
-            totals.recomputed_x += rep.recomputed_x;
-            totals.arena_added += rep.arena_added;
-            totals.roots_reused += rep.roots_reused;
+            recomputed_x += rep.recomputed_x as u64;
         }
 
         let body = render_solve_body(&solver);
         let info = DeltaSolveInfo {
             mode,
             replayed,
-            recomputed_x: totals.recomputed_x as u64,
-            arena_added: totals.arena_added as u64,
-            roots_reused: totals.roots_reused as u64,
+            recomputed_x,
             n_agents: solver.special_form().n_agents() as u64,
         };
         let cost = solver_cost(&solver);
@@ -277,12 +268,13 @@ impl DeltaCoordinator {
 }
 
 /// Approximate resident bytes of a parked solver: per-agent state
-/// (`t`/`s`/`x` plus `2(R−1)` g-table levels at 8 bytes each, roots,
-/// BFS buffers) plus the interned arena.
+/// (`t`/`s`/`x` plus `2(R−1)` g-table levels at 8 bytes each, BFS
+/// buffers). Constant per revision — a solver never grows as its chain
+/// advances.
 fn solver_cost(s: &DynamicSolver) -> u64 {
     let n = s.special_form().n_agents() as u64;
     let levels = (s.big_r() - 1) as u64;
-    n * (16 * levels + 96) + s.arena_len() as u64 * 48
+    n * (16 * levels + 96)
 }
 
 /// Renders the `SOLVE`-format reply body from a dynamic solver's state.

@@ -785,6 +785,49 @@ mod tests {
     }
 
     #[test]
+    fn long_edit_chain_keeps_one_constant_size_parked_solver() {
+        use crate::delta::DeltaMode;
+        let e = Engine::new(1 << 20, 64 << 20);
+        let base = catalog()
+            .iter()
+            .find(|f| f.name == "special-form")
+            .unwrap()
+            .instance(96, 1);
+        assert!(base.n_agents() >= 64, "{} agents", base.n_agents());
+        let mut rev = e.put(&textfmt::write_instance(&base)).unwrap();
+        let mut bytes_after_first = 0;
+        for step in 0..200u32 {
+            let inst = e.fetch(rev).unwrap();
+            let i = step % inst.n_constraints() as u32;
+            let en = inst.constraint_row(mmlp_instance::ids::ConstraintId::new(i))[0];
+            // A fresh coefficient every step: no revision repeats.
+            let coef = 1.0 + f64::from(step + 1) / 256.0;
+            let text = format!(
+                "mmlpdelta 1\nbase {}\nset c {i} {}:{coef}\n",
+                hash_hex(rev),
+                en.agent.raw()
+            );
+            rev = e.put_delta(&text).unwrap().new;
+            let (body, info) = e.solve_delta(rev, 3, 1).unwrap();
+            let want = if step == 0 {
+                DeltaMode::Booted
+            } else {
+                DeltaMode::Advanced
+            };
+            assert_eq!(info.mode, want, "step {}", step + 1);
+            let (_, solvers, bytes) = e.delta_stats();
+            assert_eq!(solvers, 1, "step {}", step + 1);
+            if step == 0 {
+                bytes_after_first = bytes;
+            } else if step == 199 {
+                assert_eq!(bytes, bytes_after_first, "the parked solver grew");
+                let tip = e.fetch(rev).unwrap();
+                assert_eq!(body, execute(Op::Solve, &tip, 3, 1).unwrap());
+            }
+        }
+    }
+
+    #[test]
     fn cache_shard_evictions_start_at_zero_and_count_locally() {
         let e = Engine::new(16 * 8, 1 << 20); // 8 bytes per result shard
         assert_eq!(e.cache_shard_evictions(), [0u64; SHARDS]);

@@ -1127,15 +1127,12 @@ fn solve_delta(
                     kind: EV_DELTA,
                     trace_id: span_rec.as_ref().map_or(0, |rec| rec.trace_id()),
                     text: format!(
-                        "delta {} revision={} replayed={} recomputed_x={} agents={} \
-                         arena_added={} roots_reused={}",
+                        "delta {} revision={} replayed={} recomputed_x={} agents={}",
                         info.mode.tag(),
                         hash_hex(revision),
                         info.replayed,
                         info.recomputed_x,
-                        info.n_agents,
-                        info.arena_added,
-                        info.roots_reused
+                        info.n_agents
                     ),
                 });
             }
@@ -1577,8 +1574,6 @@ fn render_stats(shared: &Shared) -> String {
     let _ = writeln!(out, "delta_replayed {}", m.delta_replayed.get());
     let _ = writeln!(out, "delta_recomputed_x {}", m.delta_recomputed_x.get());
     let _ = writeln!(out, "delta_agents {}", m.delta_agents.get());
-    let _ = writeln!(out, "delta_arena_added {}", m.delta_arena_added.get());
-    let _ = writeln!(out, "delta_roots_reused {}", m.delta_roots_reused.get());
     let _ = writeln!(out, "lineage_entries {lineage_entries}");
     let _ = writeln!(out, "delta_solvers {delta_solvers}");
     let _ = writeln!(out, "delta_solver_bytes {delta_solver_bytes}");

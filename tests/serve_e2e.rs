@@ -370,3 +370,31 @@ fn wait_until(c: &mut Client, pred: impl Fn(&[(String, u64)]) -> bool) {
     }
     panic!("condition not reached within 5s");
 }
+
+/// Every `STATS` key, in order. Scripts parse this body, so the list is
+/// pinned exactly; values are ignored.
+const STATS_KEYS: &str = "uptime_ms workers queue_cap queue_depth in_flight \
+    connections_live connections_total requests cache_hits cache_misses busy errors \
+    timeouts cache_entries cache_bytes cache_evictions store_entries store_bytes \
+    persist_enabled warm_instances warm_results persist_errors flat_solves \
+    view_interned_nodes view_logical_bytes view_arena_bytes view_peak_arena_bytes \
+    view_dedup_ratio latency_samples latency_mean_us p50_us p95_us p99_us max_us \
+    queue_wait_p95_us execute_p95_us traces_recorded delta_puts delta_solves_warm \
+    delta_solves_advanced delta_solves_booted delta_replayed delta_recomputed_x \
+    delta_agents lineage_entries delta_solvers delta_solver_bytes warm_lineage \
+    spans_recorded journal_records journal_dropped delta_latency_p50_us \
+    delta_latency_p95_us delta_latency_p99_us";
+
+#[test]
+fn stats_keys_are_pinned_in_order() {
+    let (addr, handle) = spawn_server(ServeConfig::default());
+    let mut c = Client::connect(&addr).unwrap();
+    let body = c.request("STATS", None).unwrap().into_ok().unwrap();
+    let keys: Vec<&str> = body
+        .lines()
+        .map(|l| l.split_once(' ').expect("key value").0)
+        .collect();
+    assert_eq!(keys, STATS_KEYS.split(' ').collect::<Vec<_>>());
+    c.shutdown().unwrap();
+    handle.join().unwrap();
+}
